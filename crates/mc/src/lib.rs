@@ -9,8 +9,10 @@
 //! **every** schedule of a small staged world, within explicit depth
 //! and state budgets.
 //!
-//! * [`world`] — the mc backend: per-host kernels, per-direction
-//!   connection FIFOs, an explorable timer set, budgeted fault moves.
+//! * [`world`] — the mc backend: the shared per-host core
+//!   (`ppm_runtime::host`) under an explorer's ordering policy —
+//!   per-direction connection FIFOs, signal, start, kernel-batch and
+//!   notification moves, an explorable timer set, budgeted fault moves.
 //! * [`explore`] — replay-based DFS with digest pruning and greedy
 //!   counterexample minimization.
 //! * [`scenarios`] — the four checked properties, staged

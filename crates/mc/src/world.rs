@@ -1,13 +1,17 @@
 //! The model-checked world: a third backend behind the `Sys` seam.
 //!
-//! The simulation backend (`ppm-simos`) orders events by virtual time;
-//! the real backend by wall-clock arrival. This backend orders them by
-//! *choice*: every pending delivery, kernel notification, due timer and
-//! budgeted adversary action is an **enabled move**, and the explorer
-//! (see [`crate::explore`]) picks which one fires next. Exhausting those
-//! picks exhausts the interleavings of the PPM protocols on a small
-//! world — exactly the schedules a discrete-event simulation samples
-//! only one of per seed.
+//! Process semantics — spawn and start, exit, signals, kernel-event
+//! routing, holding callbacks for stopped processes, the dispatch seam —
+//! are the shared host core (`ppm_runtime::host`), the same code the
+//! simulation and the real nodes run. What this backend owns is the
+//! ordering policy. The simulation orders events by virtual time; the
+//! real backend by wall-clock arrival. This backend orders them by
+//! *choice*: every pending start, delivery, kernel batch, signal,
+//! notification, due timer and budgeted adversary action is an **enabled
+//! move**, and the explorer (see [`crate::explore`]) picks which one
+//! fires next. Exhausting those picks exhausts the interleavings of the
+//! PPM protocols on a small world — exactly the schedules a
+//! discrete-event simulation samples only one of per seed.
 //!
 //! Connections keep per-direction FIFO queues and only the head of each
 //! queue is enabled, so streams stay ordered (TCP semantics) while
@@ -22,21 +26,22 @@ use std::sync::Arc;
 use bytes::Bytes;
 
 use ppm_core::{Lpm, Pmd, PmdOptions, UserDirectory, PMD_SERVICE};
-use ppm_proto::codec::Wire;
+use ppm_proto::codec::{encode_batch, Wire};
 use ppm_proto::Msg;
-use ppm_runtime::events::{KernelEvent, TraceFlags};
+use ppm_runtime::events::TraceFlags;
 use ppm_runtime::fd::{FdKind, OpenMode};
 use ppm_runtime::hashx::HashX;
+use ppm_runtime::host::{self, Callback, HostCore, Policy};
 use ppm_runtime::inetd::Inetd;
-use ppm_runtime::kernel::Kernel;
 use ppm_runtime::obs::{SharedRegistry, SpanPhase};
-use ppm_runtime::process::{ProcInfo, ProcState, Process, Rusage};
+use ppm_runtime::process::{ProcInfo, Rusage};
+use ppm_runtime::rt::Runtime;
 use ppm_runtime::signal::{ExitStatus, Signal};
 use ppm_runtime::sys::{Clock, Spawner, Sys, TimerDriver, TimerHandle, Transport};
 use ppm_runtime::time::{Micros, SimDuration, SimTime};
 use ppm_runtime::trace::TraceCategory;
 use ppm_runtime::{
-    ConnEvent, ConnId, CpuClass, Fd, HostId, KernelMsg, Pid, Port, Program, SigAction, SpawnSpec,
+    ConnEvent, ConnId, CpuClass, Fd, HostId, KernelMsg, Pid, Port, ProcKey, Program, SpawnSpec,
     SysError, Uid,
 };
 
@@ -44,6 +49,14 @@ use ppm_runtime::{
 /// so every container is `BTreeMap`-ordered and the move enumeration is
 /// deterministic.
 pub type K = (u32, u32);
+
+fn proc_key(k: K) -> ProcKey {
+    (HostId(k.0), Pid(k.1))
+}
+
+fn mc_key(key: ProcKey) -> K {
+    (key.0 .0, key.1 .0)
+}
 
 /// Virtual time consumed by each delivered event. Absolute time is
 /// excluded from state digests; the tick only drives timers and the
@@ -104,47 +117,47 @@ pub enum Adversary {
 /// One enabled transition of the world.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Move {
+    /// Deliver the head signal in flight toward a process.
+    Signal(K),
     /// Run `on_start` for a spawned-but-not-yet-started process.
     Start(K),
     /// Deliver the head item of one connection direction.
     Net { conn: u64, to_b: bool },
-    /// Deliver the head kernel event on a process's kernel socket.
+    /// Flush the kernel events queued toward a tracer as one batch.
     Kernel(K),
-    /// Deliver the head pending child-exit notification to a parent.
-    ChildExit(K),
+    /// Deliver the head notification queued for a process: a child exit,
+    /// or a callback SIGCONT released.
+    Notify(K),
     /// Fire the earliest due timer (id breaks ties).
     Timer(u64),
     /// Apply the indexed adversary action (budget permitting).
     Fault(usize),
 }
 
-/// The bounded-model-checking world: per-host kernels and stable
-/// storage, programs, and the frontier of pending deliveries.
+/// The bounded-model-checking world: per-host cores and stable storage,
+/// and the frontier of pending deliveries.
 pub struct McWorld {
     clock: SimTime,
     /// Timers due after this instant never fire: the end of the modelled
     /// schedule. Keeps housekeeping from generating unbounded suffixes.
     horizon: SimTime,
     host_names: Vec<String>,
-    host_up: Vec<bool>,
-    kernels: Vec<Kernel>,
+    hosts: Vec<HostCore>,
     stable: Vec<BTreeMap<String, Bytes>>,
     /// Currently cut host pairs (normalized low-high). Everything else
     /// in the static topology is routable; worlds are fully meshed.
     cut_links: BTreeSet<(u32, u32)>,
     listeners: BTreeMap<(u32, u16), u32>,
-    services: BTreeMap<(u32, String), u32>,
-    progs: BTreeMap<K, Box<dyn Program>>,
-    /// Processes that registered a kernel socket.
-    ksock: BTreeSet<K>,
     conns: BTreeMap<u64, Conn>,
     next_conn: u64,
     timers: BTreeMap<u64, McTimer>,
     next_timer: u64,
-    kqueues: BTreeMap<K, VecDeque<KernelMsg>>,
-    child_exits: BTreeMap<K, VecDeque<(Pid, ExitStatus)>>,
+    /// Signals in flight, per target, in send order.
+    signals: BTreeMap<K, VecDeque<Signal>>,
+    /// Notifications queued per process: child exits and callbacks
+    /// released by SIGCONT.
+    inbox: BTreeMap<K, VecDeque<Callback>>,
     starts: BTreeSet<K>,
-    next_fd: u32,
     users: Arc<UserDirectory>,
     pmd_options: PmdOptions,
     /// Kill syscalls observed: (host, target pid, signal number) → count.
@@ -181,23 +194,18 @@ impl McWorld {
         let mut w = McWorld {
             clock,
             horizon: clock + horizon,
-            host_names: hosts.iter().map(|h| (*h).to_string()).collect(),
-            host_up: vec![true; hosts.len()],
-            kernels: hosts.iter().map(|_| Kernel::new(clock)).collect(),
-            stable: hosts.iter().map(|_| BTreeMap::new()).collect(),
+            host_names: Vec::new(),
+            hosts: Vec::new(),
+            stable: Vec::new(),
             cut_links: BTreeSet::new(),
             listeners: BTreeMap::new(),
-            services: BTreeMap::new(),
-            progs: BTreeMap::new(),
-            ksock: BTreeSet::new(),
             conns: BTreeMap::new(),
             next_conn: 1,
             timers: BTreeMap::new(),
             next_timer: 1,
-            kqueues: BTreeMap::new(),
-            child_exits: BTreeMap::new(),
+            signals: BTreeMap::new(),
+            inbox: BTreeMap::new(),
             starts: BTreeSet::new(),
-            next_fd: 10,
             users: users.into_shared(),
             pmd_options,
             kill_log: BTreeMap::new(),
@@ -207,25 +215,23 @@ impl McWorld {
             convergence_margin: SimDuration::from_micros(0),
             exec_baseline: BTreeMap::new(),
         };
-        for h in 0..w.host_names.len() {
-            w.boot_host(h as u32);
+        for h in hosts {
+            w.add_host(h, CpuClass::Vax780);
         }
         w
     }
 
-    fn boot_host(&mut self, host: u32) {
-        let pid = self.kernels[host as usize].alloc_pid();
-        let p = Process::new(pid, Pid::INIT, Uid::ROOT, "inetd", self.clock);
-        self.kernels[host as usize].insert(p);
-        let key = (host, pid.0);
-        self.progs.insert(key, Box::new(Inetd::new()));
-        self.starts.insert(key);
+    /// Spawns a child of init on `host`; it starts via its `Start` move.
+    fn spawn_under_init(&mut self, host: u32, uid: Uid, spec: SpawnSpec) -> Pid {
+        let pid = host::spawn(self, HostId(host), Pid::INIT, uid, spec).expect("mc hosts stay up");
+        self.starts.insert((host, pid.0));
+        pid
     }
 
     // ---- staging helpers (deterministic world construction) ------------
 
     /// Spawns a process with behaviour as a child of init; it starts via
-    /// its `Start` move (first in drain priority).
+    /// its `Start` move.
     pub fn spawn_program(
         &mut self,
         host: u32,
@@ -233,21 +239,21 @@ impl McWorld {
         command: &str,
         program: Box<dyn Program>,
     ) -> Pid {
-        let pid = self.kernels[host as usize].alloc_pid();
-        let p = Process::new(pid, Pid::INIT, uid, command, self.clock);
-        self.kernels[host as usize].insert(p);
-        self.progs.insert((host, pid.0), program);
-        self.starts.insert((host, pid.0));
-        pid
+        self.spawn_under_init(host, uid, SpawnSpec::new(command, program))
     }
 
     /// Places an inert running process in the table (a plain UNIX
     /// process from the PPM's perspective).
     pub fn spawn_inert(&mut self, host: u32, uid: Uid, command: &str) -> Pid {
-        let pid = self.kernels[host as usize].alloc_pid();
-        let mut p = Process::new(pid, Pid::INIT, uid, command, self.clock);
-        p.state = ProcState::Running;
-        self.kernels[host as usize].insert(p);
+        let pid = host::spawn(
+            self,
+            HostId(host),
+            Pid::INIT,
+            uid,
+            SpawnSpec::inert(command),
+        )
+        .expect("mc hosts stay up");
+        host::start(self, (HostId(host), pid));
         pid
     }
 
@@ -312,7 +318,7 @@ impl McWorld {
     pub fn stage_kill(&mut self, host: u32, command: &str) -> bool {
         match self.find_proc(host, command) {
             Some(pid) => {
-                self.deliver_signal((host, pid), Signal::Kill);
+                host::deliver_signal(self, proc_key((host, pid)), Signal::Kill);
                 true
             }
             None => false,
@@ -338,12 +344,14 @@ impl McWorld {
 
     /// All live LPM programs, keyed by (host, pid).
     pub fn lpms(&self) -> Vec<(K, &Lpm)> {
-        self.progs
-            .iter()
-            .filter_map(|(k, p)| {
-                p.as_any()
-                    .and_then(|a| a.downcast_ref::<Lpm>())
-                    .map(|l| (*k, l))
+        (0u32..)
+            .zip(&self.hosts)
+            .flat_map(|(h, hc)| {
+                hc.programs().filter_map(move |(pid, p)| {
+                    p.as_any()
+                        .and_then(|a| a.downcast_ref::<Lpm>())
+                        .map(|l| ((h, pid.0), l))
+                })
             })
             .collect()
     }
@@ -377,7 +385,8 @@ impl McWorld {
 
     /// First live pid on `host` with the given command name.
     pub fn find_proc(&self, host: u32, command: &str) -> Option<u32> {
-        self.kernels[host as usize]
+        self.hosts[host as usize]
+            .kernel
             .processes()
             .find(|p| p.is_alive() && p.command == command)
             .map(|p| p.pid.0)
@@ -393,6 +402,11 @@ impl McWorld {
     /// All enabled moves, in a deterministic order.
     pub fn enabled_moves(&self) -> Vec<Move> {
         let mut moves = Vec::new();
+        for (&k, q) in &self.signals {
+            if !q.is_empty() {
+                moves.push(Move::Signal(k));
+            }
+        }
         for &k in &self.starts {
             moves.push(Move::Start(k));
         }
@@ -410,14 +424,16 @@ impl McWorld {
                 });
             }
         }
-        for (&k, q) in &self.kqueues {
-            if !q.is_empty() {
-                moves.push(Move::Kernel(k));
+        for (h, hc) in (0u32..).zip(&self.hosts) {
+            for (tracer, q) in hc.kernel_queue() {
+                if !q.is_empty() {
+                    moves.push(Move::Kernel((h, tracer.0)));
+                }
             }
         }
-        for (&k, q) in &self.child_exits {
+        for (&k, q) in &self.inbox {
             if !q.is_empty() {
-                moves.push(Move::ChildExit(k));
+                moves.push(Move::Notify(k));
             }
         }
         if let Some(id) = self.next_timer_id() {
@@ -442,9 +458,7 @@ impl McWorld {
 
     fn fault_enabled(&self, adv: &Adversary) -> bool {
         match adv {
-            Adversary::KillProc { host, command } => {
-                self.host_up[*host as usize] && self.find_proc(*host, command).is_some()
-            }
+            Adversary::KillProc { host, command } => self.find_proc(*host, command).is_some(),
             Adversary::CutLink { a, b } => !self.cut_links.contains(&norm(*a, *b)),
             Adversary::HealLink { a, b } => self.cut_links.contains(&norm(*a, *b)),
         }
@@ -454,6 +468,10 @@ impl McWorld {
     /// traces and for directed replays in regression tests.
     pub fn describe(&self, mv: &Move) -> String {
         match mv {
+            Move::Signal(k) => match self.signals.get(k).and_then(VecDeque::front) {
+                Some(sig) => format!("signal {sig} -> {}", self.proc_label(*k)),
+                None => format!("signal -> {}", self.proc_label(*k)),
+            },
             Move::Start(k) => format!("start {}", self.proc_label(*k)),
             Move::Net { conn, to_b } => {
                 let c = &self.conns[conn];
@@ -473,7 +491,10 @@ impl McWorld {
                 format!("deliver {what} -> {}", self.proc_label(dst))
             }
             Move::Kernel(k) => format!("kernel-event -> {}", self.proc_label(*k)),
-            Move::ChildExit(k) => format!("child-exit -> {}", self.proc_label(*k)),
+            Move::Notify(k) => match self.inbox.get(k).and_then(VecDeque::front) {
+                Some(Callback::ChildExit(..)) => format!("child-exit -> {}", self.proc_label(*k)),
+                _ => format!("resume -> {}", self.proc_label(*k)),
+            },
             Move::Timer(id) => match self.timers.get(id) {
                 Some(t) => format!("timer {} @{}", self.proc_label(t.owner), t.token),
                 None => format!("timer #{id}"),
@@ -495,7 +516,8 @@ impl McWorld {
     }
 
     fn proc_label(&self, k: K) -> String {
-        let cmd = self.kernels[k.0 as usize]
+        let cmd = self.hosts[k.0 as usize]
+            .kernel
             .get(Pid(k.1))
             .map(|p| p.command.clone())
             .unwrap_or_else(|| "?".to_string());
@@ -506,52 +528,38 @@ impl McWorld {
     /// [`McWorld::enabled_moves`].
     pub fn apply(&mut self, mv: &Move) {
         match mv {
-            Move::Start(k) => self.do_start(*k),
+            Move::Signal(k) => {
+                self.clock += TICK;
+                let sig = self.signals.get_mut(k).and_then(VecDeque::pop_front);
+                if let Some(sig) = sig {
+                    host::deliver_signal(self, proc_key(*k), sig);
+                }
+            }
+            Move::Start(k) => {
+                self.starts.remove(k);
+                self.clock += TICK;
+                host::start(self, proc_key(*k));
+            }
             Move::Net { conn, to_b } => self.do_deliver(*conn, *to_b),
             Move::Kernel(k) => {
                 self.clock += TICK;
-                let msg = self.kqueues.get_mut(k).and_then(VecDeque::pop_front);
-                if let Some(msg) = msg {
-                    self.dispatch(*k, |p, sys| p.on_kernel_event(sys, msg));
-                }
+                host::flush_kernel(self, proc_key(*k));
             }
-            Move::ChildExit(k) => {
+            Move::Notify(k) => {
                 self.clock += TICK;
-                let item = self.child_exits.get_mut(k).and_then(VecDeque::pop_front);
-                if let Some((child, status)) = item {
-                    self.dispatch(*k, |p, sys| p.on_child_exit(sys, child, status));
+                let item = self.inbox.get_mut(k).and_then(VecDeque::pop_front);
+                if let Some(callback) = item {
+                    host::dispatch(self, proc_key(*k), callback);
                 }
             }
             Move::Timer(id) => {
                 if let Some(t) = self.timers.remove(id) {
                     self.clock = self.clock.max(t.due);
-                    self.dispatch(t.owner, |p, sys| p.on_timer(sys, t.token));
+                    host::dispatch(self, proc_key(t.owner), Callback::Timer(t.token));
                 }
             }
             Move::Fault(i) => self.do_fault(*i),
         }
-    }
-
-    fn do_start(&mut self, k: K) {
-        self.starts.remove(&k);
-        self.clock += TICK;
-        let kernel = &mut self.kernels[k.0 as usize];
-        let Ok(p) = kernel.live_mut(Pid(k.1)) else {
-            return;
-        };
-        if p.state == ProcState::Embryo {
-            p.state = ProcState::Running;
-        }
-        let command = p.command.clone();
-        self.emit_kernel_event(
-            k.0,
-            Pid(k.1),
-            KernelEvent::Exec {
-                pid: Pid(k.1),
-                command,
-            },
-        );
-        self.dispatch(k, |p, sys| p.on_start(sys));
     }
 
     fn do_deliver(&mut self, conn_id: u64, to_b: bool) {
@@ -566,31 +574,22 @@ impl McWorld {
         };
         let Some(item) = item else { return };
         let cid = ConnId(conn_id);
-        match item {
-            NetItem::Established => {
-                self.dispatch(dst, |p, sys| {
-                    p.on_conn_event(sys, cid, ConnEvent::Established)
-                });
-            }
+        let callback = match item {
+            NetItem::Established => Callback::Conn(cid, ConnEvent::Established),
             NetItem::Accepted { peer, port } => {
-                self.dispatch(dst, |p, sys| {
-                    p.on_conn_event(sys, cid, ConnEvent::Accepted { peer, port });
-                });
+                Callback::Conn(cid, ConnEvent::Accepted { peer, port })
             }
             NetItem::Failed(e) => {
                 self.last_disruption_at = Some(self.clock);
-                self.dispatch(dst, |p, sys| {
-                    p.on_conn_event(sys, cid, ConnEvent::Failed(e))
-                });
+                Callback::Conn(cid, ConnEvent::Failed(e))
             }
-            NetItem::Msg(bytes) => {
-                self.dispatch(dst, |p, sys| p.on_message(sys, cid, bytes));
-            }
+            NetItem::Msg(bytes) => Callback::Message(cid, bytes),
             NetItem::Closed => {
                 self.last_disruption_at = Some(self.clock);
-                self.dispatch(dst, |p, sys| p.on_conn_event(sys, cid, ConnEvent::Closed));
+                Callback::Conn(cid, ConnEvent::Closed)
             }
-        }
+        };
+        host::dispatch(self, proc_key(dst), callback);
         // Drop fully drained dead connections so they stop contributing
         // moves and digest weight.
         if let Some(c) = self.conns.get(&conn_id) {
@@ -610,7 +609,7 @@ impl McWorld {
         match adv.clone() {
             Adversary::KillProc { host, command } => {
                 if let Some(pid) = self.find_proc(host, &command) {
-                    self.deliver_signal((host, pid), Signal::Kill);
+                    host::deliver_signal(self, proc_key((host, pid)), Signal::Kill);
                 }
             }
             Adversary::CutLink { a, b } => {
@@ -624,8 +623,8 @@ impl McWorld {
 
     // ---- deterministic drains (staging) ---------------------------------
 
-    /// Applies natural moves (no faults) in priority order — starts,
-    /// then deliveries, then kernel events, then child exits, then the
+    /// Applies natural moves (no faults) in priority order — signals,
+    /// starts, deliveries, kernel batches, notifications, then the
     /// earliest timer — until `until` holds or nothing is enabled.
     /// Returns `true` if the condition was reached. `skip` filters moves
     /// out of the drain (they stay enabled for later exploration).
@@ -675,10 +674,9 @@ impl McWorld {
     /// the observables predicates read — is folded in.
     pub fn digest(&self) -> u64 {
         let mut h = HashX::default();
-        for (i, up) in self.host_up.iter().enumerate() {
-            h.write_u8(u8::from(*up));
-            h.write_u32(self.kernels[i].boot_count());
-            for p in self.kernels[i].processes() {
+        for (hc, stable) in self.hosts.iter().zip(&self.stable) {
+            h.write_u32(hc.kernel.boot_count());
+            for p in hc.kernel.processes() {
                 h.write_u32(p.pid.0);
                 h.write_u32(p.ppid.0);
                 h.write_u32(p.uid.0);
@@ -687,9 +685,24 @@ impl McWorld {
                 h.write_u32(p.tracer.map_or(0, |t| t.0));
                 h.write_u8(p.trace_flags.bits());
             }
-            for (k, v) in &self.stable[i] {
+            for (k, v) in stable {
                 h.write(k.as_bytes());
                 h.write(v);
+            }
+            for (tracer, q) in hc.kernel_queue() {
+                h.write_u32(tracer.0);
+                h.write_u64(q.len() as u64);
+                for m in q {
+                    h.write(format!("{:?}", m.event).as_bytes());
+                }
+            }
+            for (pid, held) in hc.held() {
+                h.write_u32(pid.0);
+                h.write(format!("{held:?}").as_bytes());
+            }
+            for (pid, p) in hc.programs() {
+                h.write_u32(pid.0);
+                h.write_u64(p.state_digest());
             }
         }
         for (a, b) in &self.cut_links {
@@ -739,30 +752,21 @@ impl McWorld {
             h.write_u32(t.owner.1);
             h.write_u64(t.token);
         }
-        for (k, q) in &self.kqueues {
+        for (k, q) in &self.signals {
             h.write_u32(k.0);
             h.write_u32(k.1);
-            h.write_u64(q.len() as u64);
-            for m in q {
-                h.write(format!("{:?}", m.event).as_bytes());
+            for sig in q {
+                h.write_u8(sig.number());
             }
         }
-        for (k, q) in &self.child_exits {
+        for (k, q) in &self.inbox {
             h.write_u32(k.0);
             h.write_u32(k.1);
-            for (pid, st) in q {
-                h.write_u32(pid.0);
-                h.write(format!("{st:?}").as_bytes());
-            }
+            h.write(format!("{q:?}").as_bytes());
         }
         for k in &self.starts {
             h.write_u32(k.0);
             h.write_u32(k.1);
-        }
-        for (k, p) in &self.progs {
-            h.write_u32(k.0);
-            h.write_u32(k.1);
-            h.write_u64(p.state_digest());
         }
         // Observables the predicates read must split states, or pruning
         // could hide a violation behind an already-visited digest.
@@ -791,70 +795,85 @@ impl McWorld {
     // ---- internals ------------------------------------------------------
 
     fn proc_alive(&self, k: K) -> bool {
-        self.host_up[k.0 as usize]
-            && self.kernels[k.0 as usize]
-                .get(Pid(k.1))
-                .is_some_and(Process::is_alive)
+        host::is_alive(self, proc_key(k))
     }
 
     fn route_alive(&self, a: u32, b: u32) -> bool {
         a == b || !self.cut_links.contains(&norm(a, b))
     }
+}
 
-    /// Runs a program callback with a scoped syscall view, then applies
-    /// any deferred exit. The program is removed from the table for the
-    /// duration so nested dispatches (a kill landing on another process)
-    /// can run re-entrantly.
-    fn dispatch<F>(&mut self, k: K, f: F)
-    where
-        F: FnOnce(&mut dyn Program, &mut dyn Sys),
-    {
-        let Some(mut prog) = self.progs.remove(&k) else {
-            return;
-        };
-        let uid = self.kernels[k.0 as usize]
-            .get(Pid(k.1))
+/// The explorer's ordering policy: every follow-on action becomes an
+/// enabled move instead of happening at a time.
+impl Policy for McWorld {
+    type Sys<'a> = McSys<'a>;
+
+    fn now(&self) -> Micros {
+        self.clock
+    }
+
+    fn host(&self, host: HostId) -> &HostCore {
+        &self.hosts[host.0 as usize]
+    }
+
+    fn host_mut(&mut self, host: HostId) -> &mut HostCore {
+        &mut self.hosts[host.0 as usize]
+    }
+
+    fn sys(&mut self, key: ProcKey) -> McSys<'_> {
+        let uid = self.hosts[key.0 .0 as usize]
+            .kernel
+            .get(key.1)
             .map_or(Uid::ROOT, |p| p.uid);
-        let mut sys = McSys {
+        McSys {
             w: self,
-            key: k,
+            key: mc_key(key),
             uid,
-            exited: None,
-        };
-        f(prog.as_mut(), &mut sys);
-        let exited = sys.exited;
-        if exited.is_none() && self.proc_alive(k) {
-            self.progs.insert(k, prog);
-        }
-        if let Some(status) = exited {
-            self.reap(k, status);
         }
     }
 
-    /// Tears a process down: kernel exit, connection FINs, parent and
-    /// tracer notifications.
-    fn reap(&mut self, k: K, status: ExitStatus) {
-        let host = k.0 as usize;
-        let pid = Pid(k.1);
-        if !self.kernels[host].get(pid).is_some_and(Process::is_alive) {
-            return;
+    fn trace(&mut self, _host: HostId, _category: TraceCategory, _text: String) {}
+
+    /// A queued batch is enabled as a `Kernel` move as soon as it exists.
+    fn kernel_queued(&mut self, _tracer: ProcKey, _msg: &KernelMsg, _starts_batch: bool) {}
+
+    fn kernel_frame(&mut self, _tracer: ProcKey, msgs: &[KernelMsg]) -> Bytes {
+        encode_batch(msgs)
+    }
+
+    /// A parent without a program ignores the notice, so the move that
+    /// would deliver it is pruned.
+    /// The signal goes in flight as a `Signal` move.
+    fn signal_sent(&mut self, target: ProcKey, signal: Signal) {
+        let queue = self.signals.entry(mc_key(target)).or_default();
+        queue.push_back(signal);
+    }
+
+    fn child_exited(&mut self, parent: ProcKey, child: Pid, status: ExitStatus) {
+        if self.hosts[parent.0 .0 as usize].has_program(parent.1) {
+            self.resume(parent, Callback::ChildExit(child, status));
         }
-        let (ppid, rusage) = {
-            let p = self.kernels[host].get(pid).expect("live proc");
-            (p.ppid, p.rusage)
-        };
-        self.kernels[host].finish_exit(pid, status, self.clock);
-        self.progs.remove(&k);
+    }
+
+    fn resume(&mut self, key: ProcKey, callback: Callback) {
+        self.inbox
+            .entry(mc_key(key))
+            .or_default()
+            .push_back(callback);
+    }
+
+    /// Drops the dead process's pending moves, timers and listeners; FINs
+    /// its open connections (items toward it are cleared, `Closed` queues
+    /// behind in-flight data to the peer).
+    fn released(&mut self, key: ProcKey) {
+        let k = mc_key(key);
         self.starts.remove(&k);
-        self.ksock.remove(&k);
-        self.kqueues.remove(&k);
-        self.child_exits.remove(&k);
+        self.signals.remove(&k);
+        self.inbox.remove(&k);
+        self.hosts[k.0 as usize].discard_kernel_batch(key.1);
         self.timers.retain(|_, t| t.owner != k);
         self.listeners
             .retain(|&(h, _), &mut p| !(h == k.0 && p == k.1));
-        self.services.retain(|(h, _), p| !(*h == k.0 && *p == k.1));
-        // FIN every open connection: clear items travelling toward the
-        // dead process, append Closed behind in-flight data to the peer.
         for c in self.conns.values_mut() {
             if !c.open || (c.a != k && c.b != k) {
                 continue;
@@ -868,111 +887,55 @@ impl McWorld {
                 c.to_a.push_back(NetItem::Closed);
             }
         }
-        // Parent notification (only parents with behaviour care).
-        let parent = (k.0, ppid.0);
-        if self.progs.contains_key(&parent) || self.starts.contains(&parent) {
-            self.child_exits
-                .entry(parent)
-                .or_default()
-                .push_back((pid, status));
-        }
-        self.emit_kernel_event(
-            k.0,
-            pid,
-            KernelEvent::Exit {
-                pid,
-                status,
-                rusage,
-            },
-        );
+    }
+}
+
+/// The backend facade: hosts join the full mesh, and `run` drains
+/// natural moves (timers only once due) until the clock passes the span.
+impl Runtime for McWorld {
+    fn add_host(&mut self, name: &str, _cpu: CpuClass) -> HostId {
+        let id = HostId(self.hosts.len() as u32);
+        self.host_names.push(name.to_string());
+        self.hosts.push(HostCore::new(self.clock));
+        self.stable.push(BTreeMap::new());
+        let inetd = SpawnSpec::new("inetd", Box::new(Inetd::new()));
+        self.spawn_under_init(id.0, Uid::ROOT, inetd);
+        id
     }
 
-    /// Queues a kernel event to the tracer of `about`, if that tracer
-    /// holds the required flag and registered a kernel socket.
-    fn emit_kernel_event(&mut self, host: u32, about: Pid, event: KernelEvent) {
-        let Some(p) = self.kernels[host as usize].get(about) else {
-            return;
-        };
-        let (tracer, flags) = (p.tracer, p.trace_flags);
-        let Some(tracer) = tracer else { return };
-        if !flags.contains(event.required_flag()) {
-            return;
+    fn spawn_user(&mut self, host: HostId, uid: Uid, spec: SpawnSpec) -> Result<Pid, SysError> {
+        if host.0 as usize >= self.hosts.len() {
+            return Err(SysError::NoSuchHost);
         }
-        let tk = (host, tracer.0);
-        if !self.ksock.contains(&tk) || !self.proc_alive(tk) {
-            return;
-        }
-        self.kqueues.entry(tk).or_default().push_back(KernelMsg {
-            event,
-            queued_at: self.clock,
-        });
+        Ok(self.spawn_under_init(host.0, uid, spec))
     }
 
-    /// Applies a signal to a live process: state changes, handler
-    /// dispatch, death.
-    fn deliver_signal(&mut self, k: K, signal: Signal) {
-        if !self.proc_alive(k) {
-            return;
+    fn run(&mut self, span: SimDuration) {
+        let until = self.clock + span;
+        while self.clock < until {
+            let next = self.enabled_moves().into_iter().find(|m| match m {
+                Move::Fault(_) => false,
+                Move::Timer(id) => self.timers[id].due <= until,
+                _ => true,
+            });
+            match next {
+                Some(m) => self.apply(&m),
+                None => break,
+            }
         }
-        let host = k.0 as usize;
-        let pid = Pid(k.1);
-        match signal {
-            Signal::Stop => {
-                if let Some(p) = self.kernels[host].get_mut(pid) {
-                    if p.state == ProcState::Running {
-                        p.state = ProcState::Stopped;
-                        self.emit_kernel_event(k.0, pid, KernelEvent::Stopped { pid });
-                    }
-                }
-            }
-            Signal::Cont => {
-                if let Some(p) = self.kernels[host].get_mut(pid) {
-                    if p.state == ProcState::Stopped {
-                        p.state = ProcState::Running;
-                        self.emit_kernel_event(k.0, pid, KernelEvent::Continued { pid });
-                    }
-                }
-            }
-            Signal::Kill => self.reap(k, ExitStatus::Signaled(Signal::Kill)),
-            s if s.is_catchable() => {
-                if let Some(mut prog) = self.progs.remove(&k) {
-                    let uid = self.kernels[host].get(pid).map_or(Uid::ROOT, |p| p.uid);
-                    let mut sys = McSys {
-                        w: self,
-                        key: k,
-                        uid,
-                        exited: None,
-                    };
-                    let action = prog.on_signal(&mut sys, s);
-                    let exited = sys.exited;
-                    if self.proc_alive(k) {
-                        self.progs.insert(k, prog);
-                    }
-                    if let Some(status) = exited {
-                        self.reap(k, status);
-                        return;
-                    }
-                    self.emit_kernel_event(
-                        k.0,
-                        pid,
-                        KernelEvent::SignalDelivered { pid, signal: s },
-                    );
-                    if action == SigAction::Default && s.is_fatal_by_default() {
-                        self.reap(k, ExitStatus::Signaled(s));
-                    }
-                } else if s.is_fatal_by_default() {
-                    self.reap(k, ExitStatus::Signaled(s));
-                } else {
-                    self.emit_kernel_event(
-                        k.0,
-                        pid,
-                        KernelEvent::SignalDelivered { pid, signal: s },
-                    );
-                }
-            }
-            s if s.is_fatal_by_default() => self.reap(k, ExitStatus::Signaled(s)),
-            _ => {}
-        }
+        self.clock = self.clock.max(until);
+    }
+
+    fn is_alive(&self, host: HostId, pid: Pid) -> bool {
+        host::is_alive(self, (host, pid))
+    }
+
+    fn stable_get(&self, host: HostId, key: &str) -> Option<Bytes> {
+        self.stable.get(host.0 as usize)?.get(key).cloned()
+    }
+
+    fn now(&self) -> Micros {
+        self.clock
     }
 }
 
@@ -1001,13 +964,10 @@ fn frame_kind(bytes: &Bytes) -> String {
 // ---- the syscall view ---------------------------------------------------
 
 /// `Sys` implementation scoped to one calling process of the mc world.
-struct McSys<'w> {
+pub struct McSys<'w> {
     w: &'w mut McWorld,
     key: K,
     uid: Uid,
-    /// Set by `exit` (and self-kill); applied by the dispatcher after
-    /// the callback returns.
-    exited: Option<ExitStatus>,
 }
 
 impl McSys<'_> {
@@ -1015,43 +975,14 @@ impl McSys<'_> {
         self.key.0 as usize
     }
 
+    fn kernel(&self) -> &ppm_runtime::kernel::Kernel {
+        &self.w.hosts[self.host()].kernel
+    }
+
     fn do_spawn(&mut self, uid: Uid, spec: SpawnSpec) -> Result<Pid, SysError> {
-        if !self.w.host_up[self.host()] {
-            return Err(SysError::HostDown);
-        }
-        let host = self.key.0;
-        let h = self.host();
-        let pid = self.w.kernels[h].alloc_pid();
-        let mut p = Process::new(
-            pid,
-            Pid(self.key.1),
-            uid,
-            spec.command.clone(),
-            self.w.clock,
-        );
-        p.cpu_bound = spec.cpu_bound;
-        // Children inherit the parent's tracer ("the target and all its
-        // future descendants").
-        let inherited = self.w.kernels[h]
-            .get(Pid(self.key.1))
-            .and_then(|pp| pp.tracer.map(|t| (t, pp.trace_flags)));
-        if let Some((tracer, flags)) = inherited {
-            p.tracer = Some(tracer);
-            p.trace_flags = flags;
-        }
-        self.w.kernels[h].insert(p);
-        if let Some(program) = spec.program {
-            self.w.progs.insert((host, pid.0), program);
-        }
-        self.w.starts.insert((host, pid.0));
-        self.w.emit_kernel_event(
-            host,
-            pid,
-            KernelEvent::Fork {
-                parent: Pid(self.key.1),
-                child: pid,
-            },
-        );
+        let (host, parent) = proc_key(self.key);
+        let pid = host::spawn(self.w, host, parent, uid, spec)?;
+        self.w.starts.insert((host.0, pid.0));
         Ok(pid)
     }
 }
@@ -1107,7 +1038,7 @@ impl Transport for McSys<'_> {
             .get(&(dst, port.0))
             .copied()
             .filter(|&pid| self.w.proc_alive((dst, pid)));
-        let reachable = self.w.host_up[dst as usize] && self.w.route_alive(self.key.0, dst);
+        let reachable = self.w.route_alive(self.key.0, dst);
         let mut conn = Conn {
             a: self.key,
             b: (dst, listener.unwrap_or(0)),
@@ -1144,7 +1075,7 @@ impl Transport for McSys<'_> {
             }
             _ => return Err(SysError::NotConnected),
         };
-        let deliverable = self.w.host_up[peer.0 as usize] && self.w.route_alive(me.0, peer.0);
+        let deliverable = self.w.route_alive(me.0, peer.0);
         let c = self.w.conns.get_mut(&conn.0).expect("checked above");
         if deliverable {
             if a_is_me {
@@ -1209,29 +1140,17 @@ impl Spawner for McSys<'_> {
     }
 
     fn exit(&mut self, code: i32) {
-        self.exited = Some(ExitStatus::Code(code));
+        host::exit(self.w, proc_key(self.key), ExitStatus::Code(code));
     }
 
     fn kill(&mut self, target: Pid, signal: Signal) -> Result<(), SysError> {
         let host = self.key.0;
-        let target_uid = self.w.kernels[self.host()].live(target).map(|p| p.uid)?;
-        if !self.uid.is_root() && self.uid != target_uid {
-            return Err(SysError::PermissionDenied);
-        }
+        host::post_signal(self.w, self.uid, (HostId(host), target), signal)?;
         *self
             .w
             .kill_log
             .entry((host, target.0, signal.number()))
             .or_insert(0) += 1;
-        if target.0 == self.key.1 {
-            // Suicide by signal: defer like exit so the dispatcher
-            // unwinds cleanly.
-            if signal.is_fatal_by_default() || signal == Signal::Kill {
-                self.exited = Some(ExitStatus::Signaled(signal));
-            }
-            return Ok(());
-        }
-        self.w.deliver_signal((host, target.0), signal);
         Ok(())
     }
 
@@ -1242,19 +1161,19 @@ impl Spawner for McSys<'_> {
         if name != PMD_SERVICE {
             return Err(SysError::UnknownService);
         }
-        let host = self.key.0;
-        if let Some(&pid) = self.w.services.get(&(host, name.to_string())) {
-            if self.w.proc_alive((host, pid)) {
-                return Ok((Pid(pid), ppm_core::PMD_PORT));
-            }
+        if let Some(pid) = self.w.hosts[self.host()].service(name) {
+            return Ok((pid, ppm_core::PMD_PORT));
         }
         let pmd = Pmd::new(
             Arc::clone(&self.w.users),
             ppm_core::PMD_PORT,
             self.w.pmd_options,
         );
-        let pid = self.do_spawn(Uid::ROOT, SpawnSpec::new(PMD_SERVICE, Box::new(pmd)))?;
-        self.w.services.insert((host, name.to_string()), pid.0);
+        let spec = SpawnSpec::new(PMD_SERVICE, Box::new(pmd));
+        let pid = host::spawn(self.w, HostId(self.key.0), Pid::INIT, Uid::ROOT, spec)?;
+        self.w.starts.insert((self.key.0, pid.0));
+        let h = self.host();
+        self.w.hosts[h].register_service(name, pid);
         Ok((pid, ppm_core::PMD_PORT))
     }
 }
@@ -1281,7 +1200,7 @@ impl Sys for McSys<'_> {
     }
 
     fn load_avg(&self) -> f64 {
-        self.w.kernels[self.key.0 as usize].load_avg()
+        self.kernel().load_avg()
     }
 
     fn resolve_host(&self, name: &str) -> Result<HostId, SysError> {
@@ -1314,38 +1233,29 @@ impl Sys for McSys<'_> {
     }
 
     fn adopt(&mut self, target: Pid, flags: TraceFlags) -> Result<(), SysError> {
-        self.w.kernels[self.key.0 as usize].adopt(target, Pid(self.key.1), self.uid, flags)
+        host::adopt(self.w, proc_key(self.key), self.uid, target, flags)
     }
 
     fn register_kernel_socket(&mut self) -> Fd {
-        self.w.ksock.insert(self.key);
-        Fd(3)
+        let h = self.host();
+        self.w.hosts[h].register_kernel_socket(Pid(self.key.1))
     }
 
     fn proc_info(&self, pid: Pid) -> Option<ProcInfo> {
-        self.w.kernels[self.key.0 as usize]
-            .get(pid)
-            .map(ProcInfo::from)
+        self.w.hosts[self.host()].proc_info(pid)
     }
 
     fn user_processes(&self, uid: Uid) -> Vec<ProcInfo> {
-        self.w.kernels[self.key.0 as usize]
-            .user_processes(uid)
-            .into_iter()
-            .map(ProcInfo::from)
-            .collect()
+        self.w.hosts[self.host()].user_processes(uid)
     }
 
     fn rusage_of(&self, pid: Pid) -> Option<Rusage> {
-        self.w.kernels[self.key.0 as usize]
-            .get(pid)
-            .map(|p| p.rusage)
+        self.kernel().get(pid).map(|p| p.rusage)
     }
 
     fn set_cpu_bound(&mut self, yes: bool) {
-        if let Some(p) = self.w.kernels[self.key.0 as usize].get_mut(Pid(self.key.1)) {
-            p.cpu_bound = yes;
-        }
+        let h = self.host();
+        self.w.hosts[h].set_cpu_bound(Pid(self.key.1), yes);
     }
 
     fn scale_cost(&mut self, nominal: SimDuration) -> SimDuration {
@@ -1353,7 +1263,8 @@ impl Sys for McSys<'_> {
     }
 
     fn consume_cpu(&mut self, nominal: SimDuration) -> SimDuration {
-        if let Some(p) = self.w.kernels[self.key.0 as usize].get_mut(Pid(self.key.1)) {
+        let h = self.host();
+        if let Some(p) = self.w.hosts[h].kernel.get_mut(Pid(self.key.1)) {
             p.rusage.cpu += nominal;
         }
         nominal
@@ -1371,18 +1282,18 @@ impl Sys for McSys<'_> {
         self.w.stable[self.key.0 as usize].remove(key);
     }
 
-    fn open_path(&mut self, _path: String, _mode: OpenMode) -> Fd {
-        let fd = Fd(self.w.next_fd);
-        self.w.next_fd += 1;
-        fd
+    fn open_path(&mut self, path: String, mode: OpenMode) -> Fd {
+        host::open_file(self.w, proc_key(self.key), path, mode)
     }
 
-    fn close_fd(&mut self, _fd: Fd) -> Result<(), SysError> {
+    fn close_fd(&mut self, fd: Fd) -> Result<(), SysError> {
+        if let Some(conn) = host::close_fd(self.w, proc_key(self.key), fd)? {
+            let _ = Transport::close(self, conn);
+        }
         Ok(())
     }
 
     fn open_fds(&self, pid: Pid) -> Result<Vec<(Fd, FdKind)>, SysError> {
-        self.w.kernels[self.key.0 as usize].live(pid)?;
-        Ok(Vec::new())
+        self.w.hosts[self.host()].open_fds(self.uid, pid)
     }
 }

@@ -18,7 +18,7 @@
 //!
 //! [`rt::RealRuntime`] assembles a cluster behind the backend facade
 //! ([`ppm_runtime::rt::Runtime`]), so harnesses and the conformance
-//! suite drive either backend through one interface.
+//! suite drive every backend through one interface.
 
 pub mod clock;
 pub mod net;

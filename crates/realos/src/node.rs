@@ -1,23 +1,25 @@
 //! One real node: an event-loop thread driving the same [`Program`]
 //! actors as the simulated kernel, over real sockets and a real clock.
 //!
-//! A node is the real-backend analogue of one simulated host. It owns a
-//! [`Kernel`] process table (shared with the sim backend — adoption,
-//! descendant tracing and exit bookkeeping are identical by
-//! construction), a map of live programs, its stream connections and
-//! listeners, stable storage, and a timer heap. The loop blocks on its
-//! event queue with `recv_timeout` against the next timer deadline, so
-//! timers fire without a dedicated timer thread.
+//! A node is the real-backend analogue of one simulated host. Its process
+//! semantics — the kernel table and programs, spawn and start, exit,
+//! signals, kernel-event routing, holding callbacks for stopped
+//! processes, and the dispatch seam that contains panics — are the
+//! shared host core ([`HostCore`], `ppm_runtime::host`), the same code
+//! the simulation and the model checker run. The node adds its stream
+//! connections and listeners, stable storage, a timer heap, and its
+//! ordering policy ([`Policy`]). The loop blocks on its event queue with
+//! `recv_timeout` against the next timer deadline, so timers fire
+//! without a dedicated timer thread.
 //!
 //! Programs run to completion on the node thread, one callback at a
 //! time — the same run-to-completion discipline the simulation enforces
 //! globally, here enforced per node (nodes run concurrently, which is
 //! exactly the concurrency the real system of the paper had between
-//! hosts). Syscalls made during a callback that must re-enter a program
-//! (spawn → `on_start`, kill → signal delivery, kernel event batches)
-//! are queued as deferred actions and drained after the callback
-//! returns, mirroring how the simulated world schedules follow-on
-//! events.
+//! hosts). Follow-on work the core asks for (a start, a signal, a
+//! kernel-event flush, a child-exit notice, a callback released by
+//! SIGCONT) goes on a deferred-action queue drained after the callback
+//! returns, on the wall clock.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -31,11 +33,11 @@ use bytes::Bytes;
 
 use ppm_runtime::events::{KernelEvent, TraceFlags};
 use ppm_runtime::fd::{FdKind, OpenMode};
+use ppm_runtime::host::{self, Callback, HostCore, Policy};
 use ppm_runtime::ids::{ConnId, CpuClass, Fd, HostId, Pid, Port, Uid};
-use ppm_runtime::kernel::Kernel;
 use ppm_runtime::obs::{SharedRegistry, SpanPhase};
-use ppm_runtime::process::{ProcInfo, ProcState, Process, Rusage};
-use ppm_runtime::program::{ConnEvent, KernelMsg, Program, SigAction, SpawnSpec, SysError};
+use ppm_runtime::process::{ProcInfo, Rusage};
+use ppm_runtime::program::{ConnEvent, KernelMsg, ProcKey, SpawnSpec, SysError};
 use ppm_runtime::signal::{ExitStatus, Signal};
 use ppm_runtime::sys::{Clock, Spawner, TimerDriver, TimerHandle, Transport};
 use ppm_runtime::time::{Micros, SimDuration};
@@ -134,28 +136,9 @@ pub enum NodeEvent {
 /// Work queued during a program callback, run after it returns.
 enum Deferred {
     Start(Pid),
-    ConnEvt {
-        owner: Pid,
-        conn: ConnId,
-        event: ConnEvent,
-    },
-    Deliver {
-        owner: Pid,
-        conn: ConnId,
-        data: Bytes,
-    },
-    ChildExit {
-        parent: Pid,
-        child: Pid,
-        status: ExitStatus,
-    },
-    KernelFlush {
-        tracer: Pid,
-    },
-    Signal {
-        target: Pid,
-        signal: Signal,
-    },
+    Run(Pid, Callback),
+    KernelFlush(Pid),
+    Signal(Pid, Signal),
 }
 
 enum RConnState {
@@ -185,14 +168,11 @@ pub struct NodeCore {
     clock: ClusterClock,
     cluster: Arc<ClusterShared>,
     tx: Sender<NodeEvent>,
-    kernel: Kernel,
-    programs: HashMap<Pid, Box<dyn Program>>,
+    core: HostCore,
     conns: HashMap<ConnId, RConn>,
     next_conn: u64,
     listeners: HashMap<Port, RListener>,
-    services: HashMap<String, Pid>,
     stable: HashMap<String, Bytes>,
-    pending_kernel: HashMap<Pid, Vec<KernelMsg>>,
     actions: VecDeque<Deferred>,
     timer_heap: BinaryHeap<Reverse<(u64, u64)>>,
     timer_entries: HashMap<u64, (Pid, u64)>,
@@ -217,14 +197,11 @@ impl NodeCore {
             clock,
             cluster,
             tx,
-            kernel: Kernel::new(Micros::ZERO),
-            programs: HashMap::new(),
+            core: HostCore::new(Micros::ZERO),
             conns: HashMap::new(),
             next_conn: 1,
             listeners: HashMap::new(),
-            services: HashMap::new(),
             stable: HashMap::new(),
-            pending_kernel: HashMap::new(),
             actions: VecDeque::new(),
             timer_heap: BinaryHeap::new(),
             timer_entries: HashMap::new(),
@@ -271,9 +248,8 @@ impl NodeCore {
                     return;
                 }
                 let owner = c.owner;
-                self.account_received(owner, data.len());
                 self.actions
-                    .push_back(Deferred::Deliver { owner, conn, data });
+                    .push_back(Deferred::Run(owner, Callback::Message(conn, data)));
             }
             NodeEvent::ConnUp { conn, stream } => {
                 stream.set_nodelay(true).ok();
@@ -294,21 +270,15 @@ impl NodeCore {
                         break;
                     }
                 }
-                if broke {
+                let event = if broke {
                     c.state = RConnState::Closed;
-                    self.actions.push_back(Deferred::ConnEvt {
-                        owner,
-                        conn,
-                        event: ConnEvent::Closed,
-                    });
-                    return;
-                }
-                c.state = RConnState::Up { stream: writer };
-                self.actions.push_back(Deferred::ConnEvt {
-                    owner,
-                    conn,
-                    event: ConnEvent::Established,
-                });
+                    ConnEvent::Closed
+                } else {
+                    c.state = RConnState::Up { stream: writer };
+                    ConnEvent::Established
+                };
+                self.actions
+                    .push_back(Deferred::Run(owner, Callback::Conn(conn, event)));
             }
             NodeEvent::ConnFail { conn, error } => {
                 let Some(c) = self.conns.get_mut(&conn) else {
@@ -316,11 +286,9 @@ impl NodeCore {
                 };
                 let owner = c.owner;
                 c.state = RConnState::Closed;
-                self.actions.push_back(Deferred::ConnEvt {
-                    owner,
-                    conn,
-                    event: ConnEvent::Failed(error),
-                });
+                let event = ConnEvent::Failed(error);
+                self.actions
+                    .push_back(Deferred::Run(owner, Callback::Conn(conn, event)));
             }
             NodeEvent::PeerClosed { conn } => {
                 let Some(c) = self.conns.get_mut(&conn) else {
@@ -331,11 +299,9 @@ impl NodeCore {
                 }
                 let owner = c.owner;
                 c.state = RConnState::Closed;
-                self.actions.push_back(Deferred::ConnEvt {
-                    owner,
-                    conn,
-                    event: ConnEvent::Closed,
-                });
+                let event = ConnEvent::Closed;
+                self.actions
+                    .push_back(Deferred::Run(owner, Callback::Conn(conn, event)));
             }
             NodeEvent::AcceptedConn { port, peer, stream } => {
                 let Some(l) = self.listeners.get(&port) else {
@@ -357,14 +323,12 @@ impl NodeCore {
                         state: RConnState::Up { stream: writer },
                     },
                 );
-                if let Ok(p) = self.kernel.live_mut(owner) {
+                if let Ok(p) = self.core.kernel.live_mut(owner) {
                     p.fds.alloc(FdKind::Socket { conn });
                 }
-                self.actions.push_back(Deferred::ConnEvt {
-                    owner,
-                    conn,
-                    event: ConnEvent::Accepted { peer, port },
-                });
+                let event = ConnEvent::Accepted { peer, port };
+                self.actions
+                    .push_back(Deferred::Run(owner, Callback::Conn(conn, event)));
             }
             NodeEvent::SpawnUser { uid, spec, reply } => {
                 let _ = reply.send(self.spawn_proc(Pid::INIT, uid, spec));
@@ -375,7 +339,7 @@ impl NodeCore {
                 signal,
                 reply,
             } => {
-                let res = self.post_signal(from, target, signal);
+                let res = host::post_signal(self, from, (self.host, target), signal);
                 if let Some(reply) = reply {
                     let _ = reply.send(res);
                 }
@@ -385,6 +349,7 @@ impl NodeCore {
             }
             NodeEvent::FindProc { uid, prefix, reply } => {
                 let found = self
+                    .core
                     .kernel
                     .user_processes(uid)
                     .into_iter()
@@ -427,7 +392,7 @@ impl NodeCore {
             let Some((pid, token)) = self.timer_entries.remove(&seq) else {
                 continue; // cancelled
             };
-            self.with_program(pid, |prog, sys| prog.on_timer(sys, token));
+            host::dispatch(self, (self.host, pid), Callback::Timer(token));
             self.drain();
         }
     }
@@ -436,93 +401,12 @@ impl NodeCore {
 
     fn drain(&mut self) {
         while let Some(action) = self.actions.pop_front() {
+            let host = self.host;
             match action {
-                Deferred::Start(pid) => self.do_start(pid),
-                Deferred::ConnEvt { owner, conn, event } => {
-                    self.with_program(owner, |prog, sys| prog.on_conn_event(sys, conn, event));
-                }
-                Deferred::Deliver { owner, conn, data } => {
-                    self.with_program(owner, |prog, sys| prog.on_message(sys, conn, data));
-                }
-                Deferred::ChildExit {
-                    parent,
-                    child,
-                    status,
-                } => {
-                    self.with_program(parent, |prog, sys| prog.on_child_exit(sys, child, status));
-                }
-                Deferred::KernelFlush { tracer } => self.do_kernel_flush(tracer),
-                Deferred::Signal { target, signal } => self.do_signal(target, signal),
-            }
-        }
-    }
-
-    fn do_start(&mut self, pid: Pid) {
-        let command = match self.kernel.get(pid) {
-            Some(p) if p.is_alive() => {
-                let cmd = p.command.clone();
-                self.kernel.get_mut(pid).expect("alive").state = ProcState::Running;
-                cmd
-            }
-            _ => return,
-        };
-        self.emit_kernel(KernelEvent::Exec { pid, command });
-        self.with_program(pid, |prog, sys| prog.on_start(sys));
-    }
-
-    fn do_kernel_flush(&mut self, tracer: Pid) {
-        let msgs = match self.pending_kernel.get_mut(&tracer) {
-            Some(v) if !v.is_empty() => std::mem::take(v),
-            _ => return,
-        };
-        if !self.is_alive(tracer) {
-            return;
-        }
-        let batch = ppm_proto::codec::encode_batch(&msgs);
-        self.with_program(tracer, |prog, sys| prog.on_kernel_batch(sys, batch));
-    }
-
-    fn do_signal(&mut self, target: Pid, signal: Signal) {
-        if !self.is_alive(target) {
-            return;
-        }
-        if let Ok(p) = self.kernel.live_mut(target) {
-            p.rusage.signals_received += 1;
-        }
-        self.emit_kernel(KernelEvent::SignalDelivered {
-            pid: target,
-            signal,
-        });
-        match signal {
-            Signal::Stop => {
-                if let Ok(p) = self.kernel.live_mut(target) {
-                    if p.state == ProcState::Running {
-                        p.state = ProcState::Stopped;
-                        self.emit_kernel(KernelEvent::Stopped { pid: target });
-                    }
-                }
-            }
-            Signal::Cont => {
-                let mut was_stopped = false;
-                if let Ok(p) = self.kernel.live_mut(target) {
-                    if p.state == ProcState::Stopped {
-                        p.state = ProcState::Running;
-                        was_stopped = true;
-                    }
-                }
-                if was_stopped {
-                    self.emit_kernel(KernelEvent::Continued { pid: target });
-                }
-            }
-            Signal::Kill => self.do_exit(target, ExitStatus::Signaled(Signal::Kill)),
-            other => {
-                let mut action = SigAction::Default;
-                self.with_program(target, |prog, sys| {
-                    action = prog.on_signal(sys, other);
-                });
-                if action == SigAction::Default && other.is_fatal_by_default() {
-                    self.do_exit(target, ExitStatus::Signaled(other));
-                }
+                Deferred::Start(pid) => host::start(self, (host, pid)),
+                Deferred::Run(pid, callback) => host::dispatch(self, (host, pid), callback),
+                Deferred::KernelFlush(tracer) => host::flush_kernel(self, (host, tracer)),
+                Deferred::Signal(pid, signal) => host::deliver_signal(self, (host, pid), signal),
             }
         }
     }
@@ -530,144 +414,18 @@ impl NodeCore {
     // ---- process lifecycle -----------------------------------------------
 
     fn is_alive(&self, pid: Pid) -> bool {
-        self.kernel.get(pid).is_some_and(Process::is_alive)
+        host::is_alive(self, (self.host, pid))
     }
 
     fn spawn_proc(&mut self, parent: Pid, uid: Uid, spec: SpawnSpec) -> Result<Pid, SysError> {
-        let now = self.now();
-        let pid = self.kernel.alloc_pid();
-        let mut proc = Process::new(pid, parent, uid, spec.command.clone(), now);
-        proc.cpu_bound = spec.cpu_bound;
-        // Descendants inherit their parent's tracer and flags, as in the
-        // simulated kernel ("Adoption allows the LPM to keep track of a
-        // process and its descendants").
-        let (tracer, flags, parent_traced) = match self.kernel.get(parent).filter(|p| p.is_alive())
-        {
-            Some(pp) => (pp.tracer, pp.trace_flags, pp.is_adopted()),
-            None => (None, TraceFlags::NONE, false),
-        };
-        proc.tracer = tracer;
-        proc.trace_flags = flags;
-        self.kernel.insert(proc);
-        if parent_traced {
-            self.emit_kernel(KernelEvent::Fork { parent, child: pid });
-        }
-        if let Some(program) = spec.program {
-            self.programs.insert(pid, program);
-        }
-        self.trace(
+        let pid = host::spawn(self, self.host, parent, uid, spec)?;
+        let command = &self.core.kernel.get(pid).expect("just spawned").command;
+        self.log(
             TraceCategory::Kernel,
-            format!("fork+exec pid {pid} ({}) by {parent}", spec.command),
+            format!("fork+exec pid {pid} ({command}) by {parent}"),
         );
         self.actions.push_back(Deferred::Start(pid));
         Ok(pid)
-    }
-
-    fn post_signal(&mut self, from: Uid, target: Pid, signal: Signal) -> Result<(), SysError> {
-        let p = self.kernel.live(target)?;
-        if p.uid != from && !from.is_root() {
-            return Err(SysError::PermissionDenied);
-        }
-        self.actions.push_back(Deferred::Signal { target, signal });
-        Ok(())
-    }
-
-    fn do_exit(&mut self, pid: Pid, status: ExitStatus) {
-        if !self.is_alive(pid) {
-            return;
-        }
-        let now = self.now();
-        let _orphans = self.kernel.finish_exit(pid, status, now);
-        let (rusage, ppid) = {
-            let p = self.kernel.get(pid).expect("just exited");
-            (p.rusage, p.ppid)
-        };
-        self.trace(TraceCategory::Kernel, format!("pid {pid} {status}"));
-        self.emit_kernel(KernelEvent::Exit {
-            pid,
-            status,
-            rusage,
-        });
-        // Unpublish and retire listeners the process owned: connects are
-        // refused until a respawn re-binds the logical port.
-        let dead_ports: Vec<Port> = self
-            .listeners
-            .iter()
-            .filter(|(_, l)| l.owner == pid)
-            .map(|(&port, _)| port)
-            .collect();
-        for port in dead_ports {
-            if let Some(l) = self.listeners.remove(&port) {
-                l.alive.store(false, Ordering::SeqCst);
-            }
-            self.cluster
-                .ports
-                .lock()
-                .unwrap()
-                .remove(&(self.host, port));
-        }
-        self.services.retain(|_, &mut owner| owner != pid);
-        // Shut down connections with this process as the local endpoint;
-        // the peer's reader thread sees EOF and reports Closed there.
-        let mut ids: Vec<ConnId> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| c.owner == pid && !matches!(c.state, RConnState::Closed))
-            .map(|(&id, _)| id)
-            .collect();
-        ids.sort_unstable();
-        for id in ids {
-            if let Some(c) = self.conns.get_mut(&id) {
-                if let RConnState::Up { stream } = &c.state {
-                    let _ = stream.shutdown(Shutdown::Both);
-                }
-                c.state = RConnState::Closed;
-            }
-        }
-        self.programs.remove(&pid);
-        self.pending_kernel.remove(&pid);
-        self.timer_entries.retain(|_, (owner, _)| *owner != pid);
-        if ppid != pid && self.is_alive(ppid) {
-            self.actions.push_back(Deferred::ChildExit {
-                parent: ppid,
-                child: pid,
-                status,
-            });
-        }
-    }
-
-    // ---- kernel events ---------------------------------------------------
-
-    fn emit_kernel(&mut self, ev: KernelEvent) {
-        let pid = ev.pid();
-        let (tracer, flags) = match self.kernel.get(pid) {
-            Some(p) => (p.tracer, p.trace_flags),
-            None => return,
-        };
-        let Some(tracer) = tracer else { return };
-        if !flags.contains(ev.required_flag()) || tracer == pid || !self.is_alive(tracer) {
-            return;
-        }
-        let msg = KernelMsg {
-            event: ev,
-            queued_at: self.now(),
-        };
-        let starts_batch = self
-            .pending_kernel
-            .get(&tracer)
-            .is_none_or(|pending| pending.is_empty());
-        self.pending_kernel.entry(tracer).or_default().push(msg);
-        if starts_batch {
-            self.actions.push_back(Deferred::KernelFlush { tracer });
-        }
-    }
-
-    fn account_received(&mut self, owner: Pid, bytes: usize) {
-        if let Ok(p) = self.kernel.live_mut(owner) {
-            p.rusage.msgs_received += 1;
-            p.rusage.bytes_received += bytes as u64;
-        }
-        self.emit_kernel(KernelEvent::MsgReceived { pid: owner, bytes });
     }
 
     // ---- helpers ---------------------------------------------------------
@@ -680,36 +438,10 @@ impl NodeCore {
         id
     }
 
-    fn trace(&self, category: TraceCategory, text: String) {
+    fn log(&self, category: TraceCategory, text: String) {
         if self.cluster.trace_enabled {
             let at = self.now();
             eprintln!("[{at} {}] {category}: {text}", self.name);
-        }
-    }
-
-    fn with_program<F>(&mut self, pid: Pid, f: F)
-    where
-        F: FnOnce(&mut dyn Program, &mut dyn ppm_runtime::sys::Sys),
-    {
-        let Some(mut prog) = self.programs.remove(&pid) else {
-            return;
-        };
-        let uid = self.kernel.get(pid).map(|p| p.uid).unwrap_or(Uid::ROOT);
-        let requested_exit = {
-            let mut sys = RealSys {
-                node: self,
-                pid,
-                uid,
-                exit_code: None,
-            };
-            f(prog.as_mut(), &mut sys);
-            sys.exit_code
-        };
-        if self.is_alive(pid) {
-            self.programs.insert(pid, prog);
-        }
-        if let Some(code) = requested_exit {
-            self.do_exit(pid, ExitStatus::Code(code));
         }
     }
 
@@ -728,6 +460,94 @@ impl NodeCore {
     }
 }
 
+/// The node's ordering policy: follow-on work goes on the deferred-action
+/// queue and runs after the current callback, on the wall clock.
+impl Policy for NodeCore {
+    type Sys<'a> = RealSys<'a>;
+
+    fn now(&self) -> Micros {
+        self.clock.now()
+    }
+
+    fn host(&self, _host: HostId) -> &HostCore {
+        &self.core
+    }
+
+    fn host_mut(&mut self, _host: HostId) -> &mut HostCore {
+        &mut self.core
+    }
+
+    fn sys(&mut self, key: ProcKey) -> RealSys<'_> {
+        let pid = key.1;
+        let uid = self.core.kernel.get(pid).map_or(Uid::ROOT, |p| p.uid);
+        RealSys {
+            node: self,
+            pid,
+            uid,
+        }
+    }
+
+    fn trace(&mut self, _host: HostId, category: TraceCategory, text: String) {
+        self.log(category, text);
+    }
+
+    fn kernel_queued(&mut self, tracer: ProcKey, _msg: &KernelMsg, starts_batch: bool) {
+        if starts_batch {
+            self.actions.push_back(Deferred::KernelFlush(tracer.1));
+        }
+    }
+
+    fn kernel_frame(&mut self, _tracer: ProcKey, msgs: &[KernelMsg]) -> Bytes {
+        ppm_proto::codec::encode_batch(msgs)
+    }
+
+    fn signal_sent(&mut self, target: ProcKey, signal: Signal) {
+        self.actions.push_back(Deferred::Signal(target.1, signal));
+    }
+
+    fn child_exited(&mut self, parent: ProcKey, child: Pid, status: ExitStatus) {
+        self.resume(parent, Callback::ChildExit(child, status));
+    }
+
+    fn resume(&mut self, key: ProcKey, callback: Callback) {
+        self.actions.push_back(Deferred::Run(key.1, callback));
+    }
+
+    /// Unpublishes the process's listeners (connects are refused until a
+    /// respawn re-binds the logical port), shuts its connections down
+    /// (the peer's reader sees EOF and reports Closed there), and drops
+    /// its timers and undelivered kernel batch.
+    fn released(&mut self, key: ProcKey) {
+        let pid = key.1;
+        let dead_ports: Vec<Port> = self
+            .listeners
+            .iter()
+            .filter(|(_, l)| l.owner == pid)
+            .map(|(&port, _)| port)
+            .collect();
+        for port in dead_ports {
+            if let Some(l) = self.listeners.remove(&port) {
+                l.alive.store(false, Ordering::SeqCst);
+            }
+            self.cluster
+                .ports
+                .lock()
+                .unwrap()
+                .remove(&(self.host, port));
+        }
+        for c in self.conns.values_mut() {
+            if c.owner == pid {
+                if let RConnState::Up { stream } = &c.state {
+                    let _ = stream.shutdown(Shutdown::Both);
+                }
+                c.state = RConnState::Closed;
+            }
+        }
+        self.timer_entries.retain(|_, (owner, _)| *owner != pid);
+        self.core.discard_kernel_batch(pid);
+    }
+}
+
 /// The real syscall interface bound to one calling process.
 ///
 /// Where [`ppm_simos::sys::Sys`] maps the trait contracts onto the
@@ -738,7 +558,6 @@ pub struct RealSys<'a> {
     node: &'a mut NodeCore,
     pid: Pid,
     uid: Uid,
-    exit_code: Option<i32>,
 }
 
 impl Clock for RealSys<'_> {
@@ -794,10 +613,10 @@ impl Transport for RealSys<'_> {
             Arc::clone(&self.node.cluster.shutdown),
             self.node.tx.clone(),
         );
-        if let Ok(p) = self.node.kernel.live_mut(self.pid) {
+        if let Ok(p) = self.node.core.kernel.live_mut(self.pid) {
             p.fds.alloc(FdKind::Listener { port });
         }
-        self.node.trace(
+        self.node.log(
             TraceCategory::Net,
             format!("pid {} listening on {port} (tcp {real})", self.pid),
         );
@@ -817,7 +636,7 @@ impl Transport for RealSys<'_> {
                 state: RConnState::Connecting { queued: Vec::new() },
             },
         );
-        if let Ok(p) = self.node.kernel.live_mut(self.pid) {
+        if let Ok(p) = self.node.core.kernel.live_mut(self.pid) {
             p.fds.alloc(FdKind::Socket { conn });
         }
         net::spawn_connector(
@@ -852,22 +671,24 @@ impl Transport for RealSys<'_> {
         }
         if closed_now {
             c.state = RConnState::Closed;
-            let owner = c.owner;
-            self.node.actions.push_back(Deferred::ConnEvt {
-                owner,
-                conn,
-                event: ConnEvent::Closed,
-            });
+            let callback = Callback::Conn(conn, ConnEvent::Closed);
+            self.node
+                .actions
+                .push_back(Deferred::Run(self.pid, callback));
             return Err(SysError::ConnectionClosed);
         }
-        if let Ok(p) = self.node.kernel.live_mut(self.pid) {
+        if let Ok(p) = self.node.core.kernel.live_mut(self.pid) {
             p.rusage.msgs_sent += 1;
             p.rusage.bytes_sent += len as u64;
         }
-        self.node.emit_kernel(KernelEvent::MsgSent {
-            pid: self.pid,
-            bytes: len,
-        });
+        host::emit(
+            self.node,
+            self.node.host,
+            KernelEvent::MsgSent {
+                pid: self.pid,
+                bytes: len,
+            },
+        );
         Ok(())
     }
 
@@ -884,7 +705,7 @@ impl Transport for RealSys<'_> {
             let _ = stream.shutdown(Shutdown::Both);
         }
         c.state = RConnState::Closed;
-        if let Ok(p) = self.node.kernel.live_mut(self.pid) {
+        if let Ok(p) = self.node.core.kernel.live_mut(self.pid) {
             if let Some(fd) = p.fds.fd_for_conn(conn) {
                 p.fds.release(fd);
             }
@@ -906,26 +727,28 @@ impl Spawner for RealSys<'_> {
     }
 
     fn exit(&mut self, code: i32) {
-        self.exit_code = Some(code);
+        host::exit(
+            self.node,
+            (self.node.host, self.pid),
+            ExitStatus::Code(code),
+        );
     }
 
     fn kill(&mut self, target: Pid, signal: Signal) -> Result<(), SysError> {
-        self.node.post_signal(self.uid, target, signal)
+        host::post_signal(self.node, self.uid, (self.node.host, target), signal)
     }
 
     fn spawn_service(&mut self, name: &str) -> Result<(Pid, Port), SysError> {
         if !self.uid.is_root() {
             return Err(SysError::PermissionDenied);
         }
-        if let Some(&pid) = self.node.services.get(name) {
-            if self.node.is_alive(pid) {
-                let port = self
-                    .node
-                    .cluster
-                    .service_port(name)
-                    .ok_or(SysError::UnknownService)?;
-                return Ok((pid, port));
-            }
+        if let Some(pid) = self.node.core.service(name) {
+            let port = self
+                .node
+                .cluster
+                .service_port(name)
+                .ok_or(SysError::UnknownService)?;
+            return Ok((pid, port));
         }
         let (port, program) = self
             .node
@@ -934,8 +757,8 @@ impl Spawner for RealSys<'_> {
             .ok_or(SysError::UnknownService)?;
         let spec = SpawnSpec::new(name.to_string(), program);
         let pid = self.node.spawn_proc(Pid::INIT, Uid::ROOT, spec)?;
-        self.node.services.insert(name.to_string(), pid);
-        self.node.trace(
+        self.node.core.register_service(name, pid);
+        self.node.log(
             TraceCategory::Daemon,
             format!("service {name} started as pid {pid} (port {port})"),
         );
@@ -965,7 +788,7 @@ impl ppm_runtime::sys::Sys for RealSys<'_> {
     }
 
     fn load_avg(&self) -> f64 {
-        self.node.kernel.load_avg()
+        self.node.core.kernel.load_avg()
     }
 
     fn resolve_host(&self, name: &str) -> Result<HostId, SysError> {
@@ -983,7 +806,7 @@ impl ppm_runtime::sys::Sys for RealSys<'_> {
     }
 
     fn trace_str(&mut self, category: TraceCategory, text: String) {
-        self.node.trace(category, text);
+        self.node.log(category, text);
     }
 
     fn spans_enabled(&self) -> bool {
@@ -1010,44 +833,33 @@ impl ppm_runtime::sys::Sys for RealSys<'_> {
     }
 
     fn adopt(&mut self, target: Pid, flags: TraceFlags) -> Result<(), SysError> {
-        self.node.kernel.adopt(target, self.pid, self.uid, flags)?;
-        self.node.trace(
-            TraceCategory::Lpm,
-            format!("adopted pid {target} with flags {flags}"),
-        );
-        Ok(())
+        host::adopt(
+            self.node,
+            (self.node.host, self.pid),
+            self.uid,
+            target,
+            flags,
+        )
     }
 
     fn register_kernel_socket(&mut self) -> Fd {
-        self.node
-            .kernel
-            .get_mut(self.pid)
-            .expect("caller is alive")
-            .fds
-            .alloc(FdKind::KernelSocket)
+        self.node.core.register_kernel_socket(self.pid)
     }
 
     fn proc_info(&self, pid: Pid) -> Option<ProcInfo> {
-        self.node.kernel.get(pid).map(ProcInfo::from)
+        self.node.core.proc_info(pid)
     }
 
     fn user_processes(&self, uid: Uid) -> Vec<ProcInfo> {
-        self.node
-            .kernel
-            .user_processes(uid)
-            .into_iter()
-            .map(ProcInfo::from)
-            .collect()
+        self.node.core.user_processes(uid)
     }
 
     fn rusage_of(&self, pid: Pid) -> Option<Rusage> {
-        self.node.kernel.get(pid).map(|p| p.rusage)
+        self.node.core.kernel.get(pid).map(|p| p.rusage)
     }
 
     fn set_cpu_bound(&mut self, yes: bool) {
-        if let Ok(p) = self.node.kernel.live_mut(self.pid) {
-            p.cpu_bound = yes;
-        }
+        self.node.core.set_cpu_bound(self.pid, yes);
     }
 
     fn scale_cost(&mut self, nominal: SimDuration) -> SimDuration {
@@ -1057,7 +869,7 @@ impl ppm_runtime::sys::Sys for RealSys<'_> {
     }
 
     fn consume_cpu(&mut self, nominal: SimDuration) -> SimDuration {
-        if let Ok(p) = self.node.kernel.live_mut(self.pid) {
+        if let Ok(p) = self.node.core.kernel.live_mut(self.pid) {
             p.rusage.cpu += nominal;
         }
         nominal
@@ -1076,56 +888,17 @@ impl ppm_runtime::sys::Sys for RealSys<'_> {
     }
 
     fn open_path(&mut self, path: String, mode: OpenMode) -> Fd {
-        let fd = {
-            let p = self
-                .node
-                .kernel
-                .live_mut(self.pid)
-                .expect("caller is alive");
-            p.rusage.files_opened += 1;
-            p.fds.alloc(FdKind::File {
-                path: path.clone(),
-                mode,
-            })
-        };
-        self.node.emit_kernel(KernelEvent::FileOpened {
-            pid: self.pid,
-            path,
-        });
-        fd
+        host::open_file(self.node, (self.node.host, self.pid), path, mode)
     }
 
     fn close_fd(&mut self, fd: Fd) -> Result<(), SysError> {
-        let released = {
-            let p = self
-                .node
-                .kernel
-                .live_mut(self.pid)
-                .map_err(|_| SysError::BadFileDescriptor)?;
-            p.fds.release(fd)
-        };
-        match released {
-            Some(FdKind::File { path, .. }) => {
-                self.node.emit_kernel(KernelEvent::FileClosed {
-                    pid: self.pid,
-                    path,
-                });
-                Ok(())
-            }
-            Some(FdKind::Socket { conn }) => {
-                let _ = Transport::close(self, conn);
-                Ok(())
-            }
-            Some(_) => Ok(()),
-            None => Err(SysError::BadFileDescriptor),
+        if let Some(conn) = host::close_fd(self.node, (self.node.host, self.pid), fd)? {
+            let _ = Transport::close(self, conn);
         }
+        Ok(())
     }
 
     fn open_fds(&self, pid: Pid) -> Result<Vec<(Fd, FdKind)>, SysError> {
-        let p = self.node.kernel.live(pid)?;
-        if p.uid != self.uid && !self.uid.is_root() {
-            return Err(SysError::PermissionDenied);
-        }
-        Ok(p.fds.iter().map(|(fd, k)| (fd, k.clone())).collect())
+        self.node.core.open_fds(self.uid, pid)
     }
 }

@@ -10,7 +10,11 @@
 //!   model: pids, uids, hosts, states, rusage, signals, descriptors, and
 //!   the kernel-event vocabulary of the paper's extended `ptrace`.
 //! * [`kernel`] — the pure per-host process table (fork genealogy, tracer
-//!   bookkeeping, load average), reused verbatim by both backends.
+//!   bookkeeping, load average).
+//! * [`host`] — the per-host core every backend drives: process
+//!   lifecycle, signals, kernel-event routing and the one dispatch seam
+//!   for program callbacks, with each backend's ordering behind
+//!   [`host::Policy`].
 //! * [`program`] — the [`program::Program`] actor trait every LPM, pmd,
 //!   inetd, tool and workload implements.
 //! * [`sys`] — the [`sys::Sys`] syscall facade handed to programs, split
@@ -31,6 +35,7 @@
 pub mod events;
 pub mod fd;
 pub mod hashx;
+pub mod host;
 pub mod ids;
 pub mod inetd;
 pub mod kernel;

@@ -4,7 +4,8 @@
 //! [`Runtime`] is the view a *harness* has: add hosts, seed user
 //! processes, let time pass, inspect the outcome. The backend-conformance
 //! suite is written against this trait alone and runs unchanged over the
-//! simulated world and the real loopback cluster.
+//! simulated world, the real loopback cluster and the model checker's
+//! world.
 //!
 //! The surface is deliberately small — conformance programs communicate
 //! their observations back through stable storage ([`Runtime::stable_get`])
@@ -16,8 +17,9 @@ use crate::ids::{CpuClass, HostId, Pid, Uid};
 use crate::program::{SpawnSpec, SysError};
 use crate::time::{Micros, SimDuration};
 
-/// A bootable PPM world: simulated ([`ppm-simos`]'s `SimRuntime`) or real
-/// (`ppm-realos`'s `RealRuntime`).
+/// A bootable PPM world: simulated (`ppm-simos`'s `SimRuntime`), real
+/// (`ppm-realos`'s `RealRuntime`) or model-checked (`ppm-mc`'s
+/// `McWorld`).
 pub trait Runtime {
     /// Adds a host and connects it to every existing host (the facade
     /// models one LAN segment; richer topologies are backend-specific).

@@ -17,6 +17,7 @@ use ppm_simnet::trace::TraceCategory;
 
 use ppm_runtime::events::TraceFlags;
 use ppm_runtime::fd::{FdKind, OpenMode};
+use ppm_runtime::host::{self, Callback, Policy};
 use ppm_runtime::ids::{ConnId, Fd, Pid, Port, Uid};
 use ppm_runtime::process::{ProcInfo, Rusage};
 use ppm_runtime::program::{ProcKey, SpawnSpec, SysError};
@@ -34,21 +35,6 @@ impl<'a> Sys<'a> {
     pub(crate) fn new(core: &'a mut WorldCore, key: ProcKey) -> Self {
         Sys { core, key }
     }
-
-    /// Accounts a received stream message against the caller and emits
-    /// the IPC kernel event if traced. Called by the world at actual
-    /// delivery time.
-    pub(crate) fn account_msg_received(&mut self, bytes: usize) {
-        let key = self.key;
-        if let Ok(p) = self.core.kernel_mut(key.0).live_mut(key.1) {
-            p.rusage.msgs_received += 1;
-            p.rusage.bytes_received += bytes as u64;
-        }
-        self.core.emit_kernel_event(
-            key.0,
-            ppm_runtime::events::KernelEvent::MsgReceived { pid: key.1, bytes },
-        );
-    }
 }
 
 impl Clock for Sys<'_> {
@@ -62,7 +48,7 @@ impl TimerDriver for Sys<'_> {
         let id = self
             .core
             .engine
-            .schedule(delay, SimEvent::Timer(self.key, token));
+            .schedule(delay, SimEvent::Run(self.key, Callback::Timer(token)));
         TimerHandle(id.raw())
     }
 
@@ -118,12 +104,12 @@ impl Spawner for Sys<'_> {
     }
 
     fn exit(&mut self, code: i32) {
-        self.core.do_exit(self.key, ExitStatus::Code(code));
+        host::exit(self.core, self.key, ExitStatus::Code(code));
     }
 
     fn kill(&mut self, target: Pid, signal: Signal) -> Result<(), SysError> {
         let uid = ppm_runtime::sys::Sys::uid(self);
-        self.core.post_signal(uid, (self.key.0, target), signal)
+        host::post_signal(self.core, uid, (self.key.0, target), signal)
     }
 
     fn spawn_service(&mut self, name: &str) -> Result<(Pid, Port), SysError> {
@@ -210,38 +196,20 @@ impl ppm_runtime::sys::Sys for Sys<'_> {
 
     fn adopt(&mut self, target: Pid, flags: TraceFlags) -> Result<(), SysError> {
         let uid = ppm_runtime::sys::Sys::uid(self);
-        let tracer = self.key.1;
-        let host = self.key.0;
-        self.core
-            .kernel_mut(host)
-            .adopt(target, tracer, uid, flags)?;
-        self.trace_str(
-            TraceCategory::Lpm,
-            format!("adopted pid {target} with flags {flags}"),
-        );
-        Ok(())
+        host::adopt(self.core, self.key, uid, target, flags)
     }
 
     fn register_kernel_socket(&mut self) -> Fd {
-        let key = self.key;
-        let k = self.core.kernel_mut(key.0);
-        k.get_mut(key.1)
-            .expect("caller is alive")
-            .fds
-            .alloc(FdKind::KernelSocket)
+        let (host, pid) = self.key;
+        self.core.host_mut(host).register_kernel_socket(pid)
     }
 
     fn proc_info(&self, pid: Pid) -> Option<ProcInfo> {
-        self.core.kernel(self.key.0).get(pid).map(ProcInfo::from)
+        self.core.host(self.key.0).proc_info(pid)
     }
 
     fn user_processes(&self, uid: Uid) -> Vec<ProcInfo> {
-        self.core
-            .kernel(self.key.0)
-            .user_processes(uid)
-            .into_iter()
-            .map(ProcInfo::from)
-            .collect()
+        self.core.host(self.key.0).user_processes(uid)
     }
 
     fn rusage_of(&self, pid: Pid) -> Option<Rusage> {
@@ -249,10 +217,8 @@ impl ppm_runtime::sys::Sys for Sys<'_> {
     }
 
     fn set_cpu_bound(&mut self, yes: bool) {
-        let key = self.key;
-        if let Ok(p) = self.core.kernel_mut(key.0).live_mut(key.1) {
-            p.cpu_bound = yes;
-        }
+        let (host, pid) = self.key;
+        self.core.host_mut(host).set_cpu_bound(pid, yes);
     }
 
     fn scale_cost(&mut self, nominal: SimDuration) -> SimDuration {
@@ -292,60 +258,19 @@ impl ppm_runtime::sys::Sys for Sys<'_> {
     // ---- files -----------------------------------------------------------
 
     fn open_path(&mut self, path: String, mode: OpenMode) -> Fd {
-        let key = self.key;
-        let fd = {
-            let p = self
-                .core
-                .kernel_mut(key.0)
-                .live_mut(key.1)
-                .expect("caller is alive");
-            p.rusage.files_opened += 1;
-            p.fds.alloc(FdKind::File {
-                path: path.clone(),
-                mode,
-            })
-        };
-        self.core.emit_kernel_event(
-            key.0,
-            ppm_runtime::events::KernelEvent::FileOpened { pid: key.1, path },
-        );
-        fd
+        host::open_file(self.core, self.key, path, mode)
     }
 
     fn close_fd(&mut self, fd: Fd) -> Result<(), SysError> {
-        let key = self.key;
-        let released = {
-            let p = self
-                .core
-                .kernel_mut(key.0)
-                .live_mut(key.1)
-                .map_err(|_| SysError::BadFileDescriptor)?;
-            p.fds.release(fd)
-        };
-        match released {
-            Some(FdKind::File { path, .. }) => {
-                self.core.emit_kernel_event(
-                    key.0,
-                    ppm_runtime::events::KernelEvent::FileClosed { pid: key.1, path },
-                );
-                Ok(())
-            }
-            Some(FdKind::Socket { conn }) => {
-                let _ = self.core.close(key, conn);
-                Ok(())
-            }
-            Some(_) => Ok(()),
-            None => Err(SysError::BadFileDescriptor),
+        if let Some(conn) = host::close_fd(self.core, self.key, fd)? {
+            let _ = self.core.close(self.key, conn);
         }
+        Ok(())
     }
 
     fn open_fds(&self, pid: Pid) -> Result<Vec<(Fd, FdKind)>, SysError> {
         let me = ppm_runtime::sys::Sys::uid(self);
-        let p = self.core.kernel(self.key.0).live(pid)?;
-        if p.uid != me && !me.is_root() {
-            return Err(SysError::PermissionDenied);
-        }
-        Ok(p.fds.iter().map(|(fd, k)| (fd, k.clone())).collect())
+        self.core.host(self.key.0).open_fds(me, pid)
     }
 }
 

@@ -1,20 +1,25 @@
 //! The simulation world: hosts, kernels, wires, and the event loop.
 //!
 //! [`World`] owns everything: the discrete-event engine, the topology, one
-//! [`Kernel`] per host, all live connections, and the [`Program`] objects
-//! attached to processes. Its event loop pops one event at a time, mutates
-//! kernel/network state, and invokes at most one program handler — so a
-//! run with a given seed is exactly reproducible.
+//! [`HostCore`] per host (kernel table and programs), and all live
+//! connections. Its event loop pops one event at a time and hands it to
+//! the shared host core (`ppm_runtime::host`), which mutates process
+//! state and invokes at most one program handler — so a run with a given
+//! seed is exactly reproducible.
 //!
-//! Programs never call each other directly: every interaction (message,
-//! signal, child exit, kernel event) becomes a scheduled event, mirroring
-//! the paper's message-based LPM design.
+//! The simulation's part is the ordering policy ([`Policy`]): every
+//! follow-on action the core asks for (a start, a kernel-event flush, a
+//! child-exit notice, a released or busy-deferred callback) becomes an
+//! engine event at a virtual-time delay, with RNG draws in a fixed order.
+//! Programs never call each other directly, mirroring the paper's
+//! message-based LPM design.
 
 use std::collections::HashMap;
 use std::fmt;
 
 use bytes::Bytes;
 use ppm_proto::codec::encode_batch;
+use ppm_runtime::host::{self, Callback, HostCore, Policy};
 use ppm_runtime::obs::{CounterId, HistId};
 use ppm_simnet::bandwidth::{NetModel, Transfer};
 use ppm_simnet::engine::TimerWheel;
@@ -26,14 +31,13 @@ use ppm_simnet::topology::{HostId, HostSpec, NetSpec, Topology};
 use ppm_simnet::trace::{TraceCategory, TraceLog};
 
 use crate::config::OsConfig;
-use crate::events::{KernelEvent, TraceFlags};
+use crate::events::KernelEvent;
 use crate::fd::FdKind;
 use crate::ids::{ConnId, Pid, Port, Uid};
 use crate::kernel::Kernel;
 use crate::net::{ConnState, Connection};
 use crate::obs::ObsHub;
-use crate::process::{ProcState, Process};
-use crate::program::{ConnEvent, KernelMsg, ProcKey, Program, SigAction, SpawnSpec, SysError};
+use crate::program::{ConnEvent, KernelMsg, ProcKey, Program, SpawnSpec, SysError};
 use crate::signal::{ExitStatus, Signal};
 use crate::sys::Sys;
 
@@ -47,9 +51,9 @@ pub(crate) struct ServiceEntry {
 }
 
 pub(crate) struct HostState {
-    pub kernel: Kernel,
+    /// Process table, programs and services (the shared host core).
+    pub core: HostCore,
     pub listeners: HashMap<Port, Pid>,
-    pub services: HashMap<String, Pid>,
     /// Simulated disk: survives process exits *and* host crashes.
     pub stable: HashMap<String, Bytes>,
     /// Services running when the host crashed, name-sorted; a restart
@@ -62,7 +66,9 @@ pub(crate) struct HostState {
 #[derive(Debug, Clone)]
 pub(crate) enum SimEvent {
     Start(ProcKey),
-    Timer(ProcKey, u64),
+    /// A program callback: a timer, a child-exit notice, or a callback
+    /// released by SIGCONT or deferred behind busy work.
+    Run(ProcKey, Callback),
     Deliver {
         conn: ConnId,
         to: ProcKey,
@@ -85,20 +91,9 @@ pub(crate) enum SimEvent {
     KernelFlush {
         to: ProcKey,
     },
-    /// A kernel-event batch already encoded, re-delivered after a busy or
-    /// stopped deferral.
-    KernelBatch {
-        to: ProcKey,
-        data: Bytes,
-    },
     SignalDeliver {
         to: ProcKey,
         signal: Signal,
-    },
-    ChildExit {
-        parent: ProcKey,
-        child: Pid,
-        status: ExitStatus,
     },
     LoadTick(HostId),
     HostCrash(HostId),
@@ -127,9 +122,8 @@ pub(crate) struct NetObs {
     prev_bisection: u64,
 }
 
-/// Everything in the world except the program objects. Syscalls (via
-/// [`Sys`]) operate on this; the [`World`] wrapper owns the programs and
-/// runs the loop.
+/// Everything in the world. Syscalls (via [`Sys`]) operate on this; the
+/// [`World`] wrapper runs the loop.
 pub struct WorldCore {
     // A hierarchical timer wheel: the short-deadline RPC timer population
     // (retransmits, handler slots, housekeeping) lands in the wheel arrays;
@@ -144,11 +138,6 @@ pub struct WorldCore {
     pub(crate) conns: HashMap<ConnId, Connection>,
     pub(crate) next_conn: u64,
     pub(crate) services: HashMap<String, ServiceEntry>,
-    pub(crate) pending_programs: Vec<(ProcKey, Box<dyn Program>)>,
-    /// Kernel events coalescing toward the same LPM wakeup: the first
-    /// event schedules the flush; events queued before it ride along in
-    /// one batch frame.
-    pub(crate) pending_kernel: HashMap<ProcKey, Vec<KernelMsg>>,
     /// Metrics, spans and the per-program registry hub.
     pub(crate) obs: ObsHub,
     /// Probabilistic wire faults from an installed fault plan. `None`
@@ -245,13 +234,13 @@ impl WorldCore {
     ///
     /// Panics on an unknown host id.
     pub fn kernel(&self, host: HostId) -> &Kernel {
-        &self.hosts[host.0 as usize].kernel
+        &self.hosts[host.0 as usize].core.kernel
     }
 
     /// Mutable kernel of a host (benchmark hooks such as
     /// [`Kernel::set_load_avg`]).
     pub fn kernel_mut(&mut self, host: HostId) -> &mut Kernel {
-        &mut self.hosts[host.0 as usize].kernel
+        &mut self.hosts[host.0 as usize].core.kernel
     }
 
     /// Looks a host up by name.
@@ -281,11 +270,11 @@ impl WorldCore {
         self.trace.record(now, host, cat, text);
     }
 
-    fn host(&self, id: HostId) -> &HostState {
+    fn hs(&self, id: HostId) -> &HostState {
         &self.hosts[id.0 as usize]
     }
 
-    fn host_mut(&mut self, id: HostId) -> &mut HostState {
+    fn hs_mut(&mut self, id: HostId) -> &mut HostState {
         &mut self.hosts[id.0 as usize]
     }
 
@@ -295,19 +284,14 @@ impl WorldCore {
 
     /// True when the process exists and is alive.
     pub fn is_alive(&self, key: ProcKey) -> bool {
-        self.host_up(key.0)
-            && self
-                .host(key.0)
-                .kernel
-                .get(key.1)
-                .is_some_and(|p| p.is_alive())
+        host::is_alive(self, key)
     }
 
     /// Scales a nominal (idle reference machine) CPU cost to this host's
     /// class and current load, with jitter.
     pub(crate) fn scaled_cpu_cost(&mut self, host: HostId, nominal: SimDuration) -> SimDuration {
         let cpu = self.topo.spec(host).cpu;
-        let la = self.host(host).kernel.load_avg();
+        let la = self.kernel(host).load_avg();
         let scaled = nominal.mul_f64(self.latency.cpu_scale(cpu, la));
         let jitter = self.config.cost_jitter;
         self.rng.jitter(scaled, jitter)
@@ -315,8 +299,8 @@ impl WorldCore {
 
     // ---- process management -------------------------------------------
 
-    /// Creates a process on `host` under `parent`. Returns its pid; the
-    /// program (if any) starts after the fork+exec delay.
+    /// Creates a process on `host` under `parent` and schedules its start
+    /// after the fork+exec delay. Returns its pid.
     pub(crate) fn spawn(
         &mut self,
         host: HostId,
@@ -325,29 +309,7 @@ impl WorldCore {
         spec: SpawnSpec,
         cost_override: Option<SimDuration>,
     ) -> Result<Pid, SysError> {
-        if !self.host_up(host) {
-            return Err(SysError::HostDown);
-        }
-        let now = self.now();
-        let pid = self.host_mut(host).kernel.alloc_pid();
-        let mut proc = Process::new(pid, parent, uid, spec.command.clone(), now);
-        proc.cpu_bound = spec.cpu_bound;
-        // Descendant tracking: a traced parent's children are traced by the
-        // same LPM with the same flags ("Adoption allows the LPM to keep
-        // track of a process and its descendants").
-        let (inherit_tracer, inherit_flags, parent_traced) = {
-            let k = &self.host(host).kernel;
-            match k.get(parent).filter(|p| p.is_alive()) {
-                Some(pp) => (pp.tracer, pp.trace_flags, pp.is_adopted()),
-                None => (None, TraceFlags::NONE, false),
-            }
-        };
-        proc.tracer = inherit_tracer;
-        proc.trace_flags = inherit_flags;
-        self.host_mut(host).kernel.insert(proc);
-        if parent_traced {
-            self.emit_kernel_event(host, KernelEvent::Fork { parent, child: pid });
-        }
+        let pid = host::spawn(self, host, parent, uid, spec)?;
         let cost = match cost_override {
             Some(c) => c,
             None => {
@@ -356,17 +318,11 @@ impl WorldCore {
             }
         };
         self.engine.schedule(cost, SimEvent::Start((host, pid)));
-        if let Some(program) = spec.program {
-            self.pending_programs.push(((host, pid), program));
-        }
-        self.tracef(
-            Some(host),
-            TraceCategory::Kernel,
-            format!(
-                "fork+exec pid {pid} ({}) by {parent}, ready in {cost}",
-                spec.command
-            ),
+        let text = format!(
+            "fork+exec pid {pid} ({}) by {parent}, ready in {cost}",
+            self.kernel(host).get(pid).expect("just spawned").command
         );
+        self.tracef(Some(host), TraceCategory::Kernel, text);
         Ok(pid)
     }
 
@@ -384,168 +340,19 @@ impl WorldCore {
             Some(e) => e.port,
             None => return Err(SysError::UnknownService),
         };
-        if let Some(&pid) = self.host(host).services.get(name) {
-            if self.is_alive((host, pid)) {
-                return Ok((pid, port));
-            }
+        if let Some(pid) = self.hs(host).core.service(name) {
+            return Ok((pid, port));
         }
         let program = (self.services[name].factory)(host);
         let spec = SpawnSpec::new(name.to_string(), program);
         let pid = self.spawn(host, Pid::INIT, Uid::ROOT, spec, None)?;
-        self.host_mut(host).services.insert(name.to_string(), pid);
+        self.hs_mut(host).core.register_service(name, pid);
         self.tracef(
             Some(host),
             TraceCategory::Daemon,
             format!("service {name} started as pid {pid} (port {port})"),
         );
         Ok((pid, port))
-    }
-
-    /// Terminates a process: exit bookkeeping, kernel event, connection
-    /// teardown, parent notification.
-    pub(crate) fn do_exit(&mut self, key: ProcKey, status: ExitStatus) {
-        let (host, pid) = key;
-        if !self.host_up(host) || !self.is_alive(key) {
-            return;
-        }
-        let now = self.now();
-        let orphans = self.host_mut(host).kernel.finish_exit(pid, status, now);
-        let _ = orphans;
-        let (rusage, ppid) = {
-            let p = self.host(host).kernel.get(pid).expect("just exited");
-            (p.rusage, p.ppid)
-        };
-        self.tracef(
-            Some(host),
-            TraceCategory::Kernel,
-            format!("pid {pid} {status}"),
-        );
-        self.emit_kernel_event(
-            host,
-            KernelEvent::Exit {
-                pid,
-                status,
-                rusage,
-            },
-        );
-        // Tear down listeners and service registrations owned by the process.
-        {
-            let hs = self.host_mut(host);
-            hs.listeners.retain(|_, &mut owner| owner != pid);
-            hs.services.retain(|_, &mut owner| owner != pid);
-        }
-        // Close connections with this process as an endpoint.
-        let mut ids: Vec<ConnId> = self
-            .conns
-            .values()
-            .filter(|c| c.state != ConnState::Closed && c.touches_proc(host, pid))
-            .map(|c| c.id)
-            .collect();
-        ids.sort_unstable();
-        for id in ids {
-            self.break_conn(id, key);
-        }
-        // Notify the parent program, if it is alive and interested.
-        if ppid != pid && self.is_alive((host, ppid)) {
-            let delay = self.config.child_exit_latency;
-            self.engine.schedule(
-                delay,
-                SimEvent::ChildExit {
-                    parent: (host, ppid),
-                    child: pid,
-                    status,
-                },
-            );
-        }
-    }
-
-    /// Emits a kernel event about a process on `host` toward its tracer,
-    /// subject to the tracing flags, with Table 1 latency.
-    pub(crate) fn emit_kernel_event(&mut self, host: HostId, ev: KernelEvent) {
-        let pid = ev.pid();
-        let (tracer, flags) = match self.host(host).kernel.get(pid) {
-            Some(p) => (p.tracer, p.trace_flags),
-            None => return,
-        };
-        let Some(tracer) = tracer else { return };
-        if !flags.contains(ev.required_flag()) {
-            return;
-        }
-        if tracer == pid {
-            return; // an LPM does not report itself to itself
-        }
-        if !self.is_alive((host, tracer)) {
-            return;
-        }
-        let key = (host, tracer);
-        let now = self.now();
-        let msg = KernelMsg {
-            event: ev,
-            queued_at: now,
-        };
-        self.obs.note_kernel_event();
-        let starts_batch = self
-            .pending_kernel
-            .get(&key)
-            .is_none_or(|pending| pending.is_empty());
-        if starts_batch {
-            self.obs.note_kernel_wakeup();
-            // First event of the wakeup pays the Table 1 latency and arms
-            // the flush.
-            let cpu = self.topo.spec(host).cpu;
-            let la = self.host(host).kernel.load_avg();
-            let base = self.latency.kernel_msg(cpu, la, msg.event.wire_size());
-            let jf = self.latency.jitter_fraction;
-            let delay = self.rng.jitter(base, jf);
-            self.tracef(
-                Some(host),
-                TraceCategory::Kernel,
-                format!(
-                    "event {} pid {pid} -> lpm {tracer} ({} bytes, {delay})",
-                    msg.event.kind(),
-                    msg.event.wire_size()
-                ),
-            );
-            self.pending_kernel.entry(key).or_default().push(msg);
-            self.engine
-                .schedule(delay, SimEvent::KernelFlush { to: key });
-        } else {
-            // A flush toward this LPM is already in flight: coalesce into
-            // the same batch frame, one delivery for the burst.
-            self.tracef(
-                Some(host),
-                TraceCategory::Kernel,
-                format!(
-                    "event {} pid {pid} -> lpm {tracer} ({} bytes, batched)",
-                    msg.event.kind(),
-                    msg.event.wire_size()
-                ),
-            );
-            self.pending_kernel.entry(key).or_default().push(msg);
-        }
-    }
-
-    /// Posts a signal from `from_uid` to a process (local or remote host —
-    /// the kernel side; permission is checked here).
-    pub(crate) fn post_signal(
-        &mut self,
-        from_uid: Uid,
-        target: ProcKey,
-        signal: Signal,
-    ) -> Result<(), SysError> {
-        if !self.host_up(target.0) {
-            return Err(SysError::HostDown);
-        }
-        let p = self.host(target.0).kernel.live(target.1)?;
-        if p.uid != from_uid && !from_uid.is_root() {
-            return Err(SysError::PermissionDenied);
-        }
-        let delay = self.config.signal_latency;
-        let jf = self.config.cost_jitter;
-        let delay = self.rng.jitter(delay, jf);
-        self.engine
-            .schedule(delay, SimEvent::SignalDeliver { to: target, signal });
-        Ok(())
     }
 
     // ---- networking ----------------------------------------------------
@@ -556,11 +363,11 @@ impl WorldCore {
         if !self.host_up(host) {
             return Err(SysError::HostDown);
         }
-        if self.host(host).listeners.contains_key(&port) {
+        if self.hs(host).listeners.contains_key(&port) {
             return Err(SysError::PortInUse);
         }
-        self.host_mut(host).listeners.insert(port, pid);
-        if let Ok(p) = self.host_mut(host).kernel.live_mut(pid) {
+        self.hs_mut(host).listeners.insert(port, pid);
+        if let Ok(p) = self.kernel_mut(host).live_mut(pid) {
             p.fds.alloc(FdKind::Listener { port });
         }
         self.tracef(
@@ -610,7 +417,7 @@ impl WorldCore {
                 Ok(id)
             }
             RouteState::Hops(hops) => {
-                let server_pid = match self.host(target).listeners.get(&port) {
+                let server_pid = match self.hs(target).listeners.get(&port) {
                     Some(&pid) => pid,
                     None => {
                         // RST: refused after one round trip.
@@ -632,7 +439,7 @@ impl WorldCore {
                 };
                 let c = Connection::new(id, from, (target, server_pid), port, now);
                 self.conns.insert(id, c);
-                if let Ok(p) = self.host_mut(from.0).kernel.live_mut(from.1) {
+                if let Ok(p) = self.kernel_mut(from.0).live_mut(from.1) {
                     p.fds.alloc(FdKind::Socket { conn: id });
                 }
                 let rtt = self.rtt(hops, from.0, target, self.config.handshake_bytes);
@@ -715,13 +522,13 @@ impl WorldCore {
         let len = data.len();
         // Sender-side accounting and tracing.
         {
-            let k = &mut self.host_mut(from.0).kernel;
-            if let Ok(p) = k.live_mut(from.1) {
+            if let Ok(p) = self.kernel_mut(from.0).live_mut(from.1) {
                 p.rusage.msgs_sent += 1;
                 p.rusage.bytes_sent += len as u64;
             }
         }
-        self.emit_kernel_event(
+        host::emit(
+            self,
             from.0,
             KernelEvent::MsgSent {
                 pid: from.1,
@@ -962,28 +769,142 @@ impl WorldCore {
         }
     }
 
-    pub(crate) fn take_pending_programs(&mut self) -> Vec<(ProcKey, Box<dyn Program>)> {
-        std::mem::take(&mut self.pending_programs)
-    }
-
     // ---- stable storage -------------------------------------------------
 
     pub(crate) fn stable_put(&mut self, host: HostId, key: String, value: Bytes) {
-        self.host_mut(host).stable.insert(key, value);
+        self.hs_mut(host).stable.insert(key, value);
     }
 
     pub(crate) fn stable_get(&self, host: HostId, key: &str) -> Option<Bytes> {
-        self.host(host).stable.get(key).cloned()
+        self.hs(host).stable.get(key).cloned()
     }
 
     pub(crate) fn stable_del(&mut self, host: HostId, key: &str) {
-        self.host_mut(host).stable.remove(key);
+        self.hs_mut(host).stable.remove(key);
     }
 
     /// Reads a host's stable-storage record (the facade's inspection
     /// channel; see [`ppm_runtime::rt::Runtime::stable_get`]).
     pub fn stable_get_pub(&self, host: HostId, key: &str) -> Option<Bytes> {
         self.stable_get(host, key)
+    }
+}
+
+/// The simulation's ordering policy: follow-on work becomes engine events
+/// at virtual-time delays, with RNG draws in a fixed order.
+impl Policy for WorldCore {
+    type Sys<'a> = Sys<'a>;
+
+    fn now(&self) -> SimTime {
+        self.engine.now()
+    }
+
+    fn host(&self, host: HostId) -> &HostCore {
+        &self.hosts[host.0 as usize].core
+    }
+
+    fn host_mut(&mut self, host: HostId) -> &mut HostCore {
+        &mut self.hosts[host.0 as usize].core
+    }
+
+    fn host_up(&self, host: HostId) -> bool {
+        self.topo.is_up(host)
+    }
+
+    fn sys(&mut self, key: ProcKey) -> Sys<'_> {
+        Sys::new(self, key)
+    }
+
+    fn trace(&mut self, host: HostId, category: TraceCategory, text: String) {
+        self.tracef(Some(host), category, text);
+    }
+
+    /// The first event of a wakeup pays the Table 1 latency and arms the
+    /// flush; later events coalesce into the same batch frame.
+    fn kernel_queued(&mut self, tracer: ProcKey, msg: &KernelMsg, starts_batch: bool) {
+        self.obs.note_kernel_event();
+        let (host, lpm) = tracer;
+        let (kind, bytes, pid) = (msg.event.kind(), msg.event.wire_size(), msg.event.pid());
+        if starts_batch {
+            self.obs.note_kernel_wakeup();
+            let cpu = self.topo.spec(host).cpu;
+            let la = self.kernel(host).load_avg();
+            let base = self.latency.kernel_msg(cpu, la, bytes);
+            let jf = self.latency.jitter_fraction;
+            let delay = self.rng.jitter(base, jf);
+            self.tracef(
+                Some(host),
+                TraceCategory::Kernel,
+                format!("event {kind} pid {pid} -> lpm {lpm} ({bytes} bytes, {delay})"),
+            );
+            self.engine
+                .schedule(delay, SimEvent::KernelFlush { to: tracer });
+        } else {
+            self.tracef(
+                Some(host),
+                TraceCategory::Kernel,
+                format!("event {kind} pid {pid} -> lpm {lpm} ({bytes} bytes, batched)"),
+            );
+        }
+    }
+
+    fn kernel_frame(&mut self, tracer: ProcKey, msgs: &[KernelMsg]) -> Bytes {
+        self.obs.note_kernel_batch(msgs.len());
+        if msgs.len() > 1 {
+            self.tracef(
+                Some(tracer.0),
+                TraceCategory::Kernel,
+                format!(
+                    "flush {} coalesced event(s) -> lpm {}",
+                    msgs.len(),
+                    tracer.1
+                ),
+            );
+        }
+        encode_batch(msgs)
+    }
+
+    fn signal_sent(&mut self, target: ProcKey, signal: Signal) {
+        let delay = self.config.signal_latency;
+        let jf = self.config.cost_jitter;
+        let delay = self.rng.jitter(delay, jf);
+        self.engine
+            .schedule(delay, SimEvent::SignalDeliver { to: target, signal });
+    }
+
+    fn child_exited(&mut self, parent: ProcKey, child: Pid, status: ExitStatus) {
+        let delay = self.config.child_exit_latency;
+        self.engine.schedule(
+            delay,
+            SimEvent::Run(parent, Callback::ChildExit(child, status)),
+        );
+    }
+
+    fn resume(&mut self, key: ProcKey, callback: Callback) {
+        self.engine
+            .schedule(SimDuration::ZERO, SimEvent::Run(key, callback));
+    }
+
+    fn retry_at(&mut self, key: ProcKey, at: SimTime, callback: Callback) {
+        self.engine.schedule_at(at, SimEvent::Run(key, callback));
+    }
+
+    /// Tears down the listeners and connections the process owned.
+    fn released(&mut self, key: ProcKey) {
+        let (host, pid) = key;
+        self.hs_mut(host)
+            .listeners
+            .retain(|_, &mut owner| owner != pid);
+        let mut ids: Vec<ConnId> = self
+            .conns
+            .values()
+            .filter(|c| c.state != ConnState::Closed && c.touches_proc(host, pid))
+            .map(|c| c.id)
+            .collect();
+        ids.sort_unstable();
+        for id in ids {
+            self.break_conn(id, key);
+        }
     }
 }
 
@@ -994,12 +915,9 @@ enum RouteState {
     Unreachable,
 }
 
-/// The complete simulation: [`WorldCore`] plus the program objects.
+/// The complete simulation: [`WorldCore`] and its event loop.
 pub struct World {
     core: WorldCore,
-    programs: HashMap<ProcKey, Box<dyn Program>>,
-    /// Events deferred because their target process was stopped.
-    deferred: HashMap<ProcKey, Vec<SimEvent>>,
 }
 
 impl fmt::Debug for World {
@@ -1007,7 +925,15 @@ impl fmt::Debug for World {
         f.debug_struct("World")
             .field("now", &self.core.now())
             .field("hosts", &self.core.hosts.len())
-            .field("programs", &self.programs.len())
+            .field(
+                "programs",
+                &self
+                    .core
+                    .hosts
+                    .iter()
+                    .map(|h| h.core.program_pids().count())
+                    .sum::<usize>(),
+            )
             .field("connections", &self.core.conns.len())
             .field("pending_events", &self.core.engine.pending())
             .finish()
@@ -1034,8 +960,6 @@ impl World {
                 conns: HashMap::new(),
                 next_conn: 1,
                 services: HashMap::new(),
-                pending_programs: Vec::new(),
-                pending_kernel: HashMap::new(),
                 obs: ObsHub::new(),
                 faults: None,
                 net: None,
@@ -1043,8 +967,6 @@ impl World {
                 net_epoch: 0,
                 seed,
             },
-            programs: HashMap::new(),
-            deferred: HashMap::new(),
         }
     }
 
@@ -1092,9 +1014,8 @@ impl World {
     pub fn add_host(&mut self, spec: HostSpec) -> HostId {
         let id = self.core.topo.add_host(spec);
         self.core.hosts.push(HostState {
-            kernel: Kernel::new(self.core.now()),
+            core: HostCore::new(self.core.now()),
             listeners: HashMap::new(),
-            services: HashMap::new(),
             stable: HashMap::new(),
             prev_services: Vec::new(),
         });
@@ -1110,7 +1031,6 @@ impl World {
         self.core
             .spawn(host, Pid::INIT, Uid::ROOT, spec, Some(boot))
             .expect("host is up during boot");
-        self.drain_pending();
     }
 
     /// Adds an undirected link.
@@ -1169,9 +1089,7 @@ impl World {
     ///
     /// Returns [`SysError::HostDown`] if the host is down.
     pub fn spawn_user(&mut self, host: HostId, uid: Uid, spec: SpawnSpec) -> Result<Pid, SysError> {
-        let pid = self.core.spawn(host, Pid::INIT, uid, spec, None)?;
-        self.drain_pending();
-        Ok(pid)
+        self.core.spawn(host, Pid::INIT, uid, spec, None)
     }
 
     /// Schedules a host crash at `delay` from now.
@@ -1299,7 +1217,7 @@ impl World {
         target: ProcKey,
         signal: Signal,
     ) -> Result<(), SysError> {
-        self.core.post_signal(from_uid, target, signal)
+        host::post_signal(&mut self.core, from_uid, target, signal)
     }
 
     /// Runs until the event queue is quiet at or before `horizon`, then
@@ -1328,181 +1246,40 @@ impl World {
         }
     }
 
-    fn drain_pending(&mut self) {
-        for (key, program) in self.core.take_pending_programs() {
-            self.programs.insert(key, program);
-        }
-    }
-
-    /// Invokes a program callback with syscall access, honouring busy and
-    /// stopped states, and reaping the program if its process died.
-    fn with_program(
-        &mut self,
-        key: ProcKey,
-        reschedule: Option<SimEvent>,
-        f: impl FnOnce(&mut dyn Program, &mut Sys<'_>),
-    ) {
-        if !self.core.is_alive(key) {
-            return;
-        }
-        // Stopped processes accumulate events until continued.
-        let state = self.core.hosts[key.0 .0 as usize]
-            .kernel
-            .get(key.1)
-            .map(|p| (p.state, p.busy_until));
-        if let Some((state, busy_until)) = state {
-            if state == ProcState::Stopped {
-                if let Some(ev) = reschedule {
-                    self.deferred.entry(key).or_default().push(ev);
-                }
-                return;
-            }
-            if busy_until > self.core.now() {
-                if let Some(ev) = reschedule {
-                    self.core.engine.schedule_at(busy_until, ev);
-                    return;
-                }
-            }
-        }
-        let Some(mut program) = self.programs.remove(&key) else {
-            return;
-        };
-        {
-            let mut sys = Sys::new(&mut self.core, key);
-            f(program.as_mut(), &mut sys);
-        }
-        if self.core.is_alive(key) {
-            self.programs.insert(key, program);
-        }
-        self.drain_pending();
-        self.reap_dead_programs();
-    }
-
-    fn reap_dead_programs(&mut self) {
-        // Cheap incremental reap: drop programs whose process is gone.
-        // (Programs are only removed here and in crash handling, so scan
-        // only when the map is small relative to the pending queue — in
-        // practice key-by-key removal below suffices.)
-        let dead: Vec<ProcKey> = self
-            .programs
-            .keys()
-            .filter(|k| !self.core.is_alive(**k))
-            .copied()
-            .collect();
-        let mut dead = dead;
-        dead.sort_unstable();
-        for k in dead {
-            self.programs.remove(&k);
-            self.deferred.remove(&k);
-        }
-    }
-
     fn dispatch(&mut self, ev: SimEvent) {
+        let core = &mut self.core;
         match ev {
-            SimEvent::Start(key) => {
-                if !self.core.is_alive(key) {
-                    return;
-                }
-                let (host, pid) = key;
-                let command = {
-                    let p = self.core.hosts[host.0 as usize]
-                        .kernel
-                        .get_mut(pid)
-                        .expect("alive");
-                    p.state = ProcState::Running;
-                    p.command.clone()
-                };
-                self.core
-                    .emit_kernel_event(host, KernelEvent::Exec { pid, command });
-                self.with_program(key, None, |p, sys| p.on_start(sys));
-            }
-            SimEvent::Timer(key, token) => {
-                let resched = SimEvent::Timer(key, token);
-                self.with_program(key, Some(resched), |p, sys| p.on_timer(sys, token));
-            }
+            SimEvent::Start(key) => host::start(core, key),
+            SimEvent::Run(key, callback) => host::dispatch(core, key, callback),
             SimEvent::Deliver { conn, to, data } => {
                 // Data already on the wire is delivered even if the
                 // connection closed meanwhile (TCP delivers data queued
                 // before a FIN); only never-established connections drop.
-                let alive_conn = self
-                    .core
+                let alive_conn = core
                     .conns
                     .get(&conn)
                     .is_some_and(|c| c.state != ConnState::Connecting);
-                if !alive_conn {
-                    return;
+                if alive_conn {
+                    host::dispatch(core, to, Callback::Message(conn, data));
                 }
-                if !self.core.is_alive(to) {
-                    return;
-                }
-                // Accounting happens on actual handling (inside the
-                // closure), so busy/stopped deferral cannot double-count.
-                let resched = SimEvent::Deliver {
-                    conn,
-                    to,
-                    data: data.clone(),
-                };
-                self.with_program(to, Some(resched), |p, sys| {
-                    sys.account_msg_received(data.len());
-                    p.on_message(sys, conn, data)
-                });
             }
             SimEvent::ConnEstablish { conn } => self.handle_establish(conn),
             SimEvent::ConnFailed { conn, to, reason } => {
-                self.with_program(to, None, |p, sys| {
-                    p.on_conn_event(sys, conn, ConnEvent::Failed(reason))
-                });
+                host::dispatch(core, to, Callback::Conn(conn, ConnEvent::Failed(reason)));
             }
             SimEvent::ConnClosedNotify { conn, to } => {
-                self.core.mark_closed(conn);
-                self.with_program(to, None, |p, sys| {
-                    p.on_conn_event(sys, conn, ConnEvent::Closed)
-                });
+                core.mark_closed(conn);
+                host::dispatch(core, to, Callback::Conn(conn, ConnEvent::Closed));
             }
-            SimEvent::KernelFlush { to } => {
-                let Some(msgs) = self.core.pending_kernel.remove(&to) else {
-                    return;
-                };
-                if msgs.is_empty() {
-                    return;
-                }
-                self.core.obs.note_kernel_batch(msgs.len());
-                let data = encode_batch(&msgs);
-                if msgs.len() > 1 {
-                    self.core.tracef(
-                        Some(to.0),
-                        TraceCategory::Kernel,
-                        format!("flush {} coalesced event(s) -> lpm {}", msgs.len(), to.1),
-                    );
-                }
-                let resched = SimEvent::KernelBatch {
-                    to,
-                    data: data.clone(),
-                };
-                self.with_program(to, Some(resched), |p, sys| p.on_kernel_batch(sys, data));
-            }
-            SimEvent::KernelBatch { to, data } => {
-                let resched = SimEvent::KernelBatch {
-                    to,
-                    data: data.clone(),
-                };
-                self.with_program(to, Some(resched), |p, sys| p.on_kernel_batch(sys, data));
-            }
-            SimEvent::SignalDeliver { to, signal } => self.handle_signal(to, signal),
-            SimEvent::ChildExit {
-                parent,
-                child,
-                status,
-            } => {
-                self.with_program(parent, None, |p, sys| p.on_child_exit(sys, child, status));
-            }
+            SimEvent::KernelFlush { to } => host::flush_kernel(core, to),
+            SimEvent::SignalDeliver { to, signal } => host::deliver_signal(core, to, signal),
             SimEvent::LoadTick(host) => {
                 if !self.core.host_up(host) {
                     return;
                 }
                 let now = self.core.now();
                 let alpha = self.core.config.load_alpha();
-                let k = &mut self.core.hosts[host.0 as usize].kernel;
+                let k = self.core.kernel_mut(host);
                 let runnable = k.runnable_count(now);
                 k.update_load(runnable, alpha);
                 let tick = self.core.config.load_tick;
@@ -1514,8 +1291,9 @@ impl World {
                 if !self.core.host_up(host) {
                     return;
                 }
-                let mut pids: Vec<Pid> = self.core.hosts[host.0 as usize]
-                    .kernel
+                let mut pids: Vec<Pid> = self
+                    .core
+                    .kernel(host)
                     .processes()
                     .filter(|p| p.is_alive() && p.command.starts_with(&prefix))
                     .map(|p| p.pid)
@@ -1527,7 +1305,7 @@ impl World {
                     format!("fault: kill {prefix}* ({} process(es))", pids.len()),
                 );
                 for pid in pids {
-                    let _ = self.core.post_signal(Uid::ROOT, (host, pid), Signal::Kill);
+                    let _ = host::post_signal(&mut self.core, Uid::ROOT, (host, pid), Signal::Kill);
                 }
             }
             SimEvent::LinkSet(a, b, up) => {
@@ -1586,9 +1364,11 @@ impl World {
             } else {
                 SysError::Unreachable
             };
-            self.with_program(client, None, |p, sys| {
-                p.on_conn_event(sys, conn, ConnEvent::Failed(reason))
-            });
+            host::dispatch(
+                &mut self.core,
+                client,
+                Callback::Conn(conn, ConnEvent::Failed(reason)),
+            );
             return;
         }
         let now = self.core.now();
@@ -1596,10 +1376,7 @@ impl World {
             c.state = ConnState::Established;
             c.stats.established_at = Some(now);
         }
-        if let Ok(p) = self.core.hosts[server.0 .0 as usize]
-            .kernel
-            .live_mut(server.1)
-        {
+        if let Ok(p) = self.core.kernel_mut(server.0).live_mut(server.1) {
             p.fds.alloc(FdKind::Socket { conn });
         }
         self.core.tracef(
@@ -1612,91 +1389,13 @@ impl World {
                 self.core.host_name(server.0),
             ),
         );
-        self.with_program(server, None, |p, sys| {
-            p.on_conn_event(sys, conn, ConnEvent::Accepted { peer: client, port })
-        });
-        self.with_program(client, None, |p, sys| {
-            p.on_conn_event(sys, conn, ConnEvent::Established)
-        });
-    }
-
-    fn handle_signal(&mut self, to: ProcKey, signal: Signal) {
-        if !self.core.is_alive(to) {
-            return;
-        }
-        let (host, pid) = to;
-        {
-            let k = &mut self.core.hosts[host.0 as usize].kernel;
-            if let Ok(p) = k.live_mut(pid) {
-                p.rusage.signals_received += 1;
-            }
-        }
-        self.core
-            .emit_kernel_event(host, KernelEvent::SignalDelivered { pid, signal });
-        self.core.tracef(
-            Some(host),
-            TraceCategory::Kernel,
-            format!("{signal} delivered to pid {pid}"),
+        let accepted = ConnEvent::Accepted { peer: client, port };
+        host::dispatch(&mut self.core, server, Callback::Conn(conn, accepted));
+        host::dispatch(
+            &mut self.core,
+            client,
+            Callback::Conn(conn, ConnEvent::Established),
         );
-        match signal {
-            Signal::Stop => {
-                let k = &mut self.core.hosts[host.0 as usize].kernel;
-                if let Ok(p) = k.live_mut(pid) {
-                    if p.state == ProcState::Running {
-                        p.state = ProcState::Stopped;
-                        self.core
-                            .emit_kernel_event(host, KernelEvent::Stopped { pid });
-                    }
-                }
-            }
-            Signal::Cont => {
-                let was_stopped = {
-                    let k = &mut self.core.hosts[host.0 as usize].kernel;
-                    match k.live_mut(pid) {
-                        Ok(p) if p.state == ProcState::Stopped => {
-                            p.state = ProcState::Running;
-                            true
-                        }
-                        _ => false,
-                    }
-                };
-                if was_stopped {
-                    self.core
-                        .emit_kernel_event(host, KernelEvent::Continued { pid });
-                    if let Some(evs) = self.deferred.remove(&to) {
-                        for ev in evs {
-                            self.core.engine.schedule(SimDuration::ZERO, ev);
-                        }
-                    }
-                }
-            }
-            Signal::Kill => {
-                self.core.do_exit(to, ExitStatus::Signaled(Signal::Kill));
-                self.reap_dead_programs();
-            }
-            other => {
-                // Catchable: give the program a chance, else default.
-                let mut action = SigAction::Default;
-                if self.programs.contains_key(&to) {
-                    let mut taken = self.programs.remove(&to).expect("checked");
-                    {
-                        let mut sys = Sys::new(&mut self.core, to);
-                        action = taken.on_signal(&mut sys, other);
-                    }
-                    if self.core.is_alive(to) {
-                        self.programs.insert(to, taken);
-                    }
-                    self.drain_pending();
-                }
-                if action == SigAction::Default
-                    && other.is_fatal_by_default()
-                    && self.core.is_alive(to)
-                {
-                    self.core.do_exit(to, ExitStatus::Signaled(other));
-                }
-                self.reap_dead_programs();
-            }
-        }
     }
 
     fn handle_crash(&mut self, host: HostId) {
@@ -1751,26 +1450,9 @@ impl World {
             CRASHED_AT_KEY.to_string(),
             Bytes::copy_from_slice(&now.as_micros().to_be_bytes()),
         );
-        let mut names: Vec<String> = hs.services.keys().cloned().collect();
-        names.sort_unstable();
-        hs.prev_services = names;
+        hs.prev_services = hs.core.service_names();
         hs.listeners.clear();
-        hs.services.clear();
-        self.reap_dead_programs_on(host);
-    }
-
-    fn reap_dead_programs_on(&mut self, host: HostId) {
-        let mut keys: Vec<ProcKey> = self
-            .programs
-            .keys()
-            .filter(|k| k.0 == host)
-            .copied()
-            .collect();
-        keys.sort_unstable();
-        for k in keys {
-            self.programs.remove(&k);
-            self.deferred.remove(&k);
-        }
+        hs.core.crash();
     }
 
     fn handle_restart(&mut self, host: HostId) {
@@ -1783,7 +1465,7 @@ impl World {
         }
         self.core.net_epoch += 1;
         let now = self.core.now();
-        self.core.hosts[host.0 as usize].kernel.reboot(now);
+        self.core.kernel_mut(host).reboot(now);
         self.core
             .tracef(Some(host), TraceCategory::Net, "host restarted".to_string());
         self.boot_daemons(host);
@@ -1793,7 +1475,6 @@ impl World {
         for name in names {
             let _ = self.core.spawn_service(host, &name);
         }
-        self.drain_pending();
         let tick = self.core.config.load_tick;
         self.core.engine.schedule(tick, SimEvent::LoadTick(host));
     }
@@ -1808,6 +1489,7 @@ pub use ppm_runtime::sys::CRASHED_AT_KEY;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::process::ProcState;
     use ppm_simnet::topology::CpuClass;
 
     fn two_hosts() -> (World, HostId, HostId) {

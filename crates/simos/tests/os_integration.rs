@@ -3,6 +3,7 @@
 //! deterministic replay.
 
 use bytes::Bytes;
+use ppm_runtime::host::Policy;
 use ppm_runtime::sys::Sys;
 use ppm_simnet::time::{SimDuration, SimTime};
 use ppm_simnet::topology::{CpuClass, HostSpec};
@@ -633,4 +634,86 @@ fn deferred_deliveries_are_accounted_exactly_once() {
         "each message accounted exactly once"
     );
     assert_eq!(p.rusage.bytes_received, 4 * 16);
+}
+
+/// Spawns `children` short-lived copies of itself, then exits after
+/// `life_ms`.
+struct Churn {
+    children: u32,
+    life_ms: u64,
+}
+
+impl Program for Churn {
+    fn on_start(&mut self, sys: &mut dyn Sys) {
+        for _ in 0..self.children {
+            let leaf = Churn {
+                children: 0,
+                life_ms: 30,
+            };
+            let _ = sys.spawn(SpawnSpec::new("churn", Box::new(leaf)));
+        }
+        sys.set_timer(SimDuration::from_millis(self.life_ms), 0);
+    }
+
+    fn on_timer(&mut self, sys: &mut dyn Sys, _token: u64) {
+        sys.exit(0);
+    }
+}
+
+/// The host core's program map holds exactly the live processes that
+/// carry a program (every process here except init and the inert `idle`
+/// ones).
+fn assert_programs_match_live(w: &World) {
+    for host in w.core().topology().host_ids() {
+        let mapped: Vec<Pid> = w.core().host(host).program_pids().collect();
+        let live: Vec<Pid> = w
+            .core()
+            .kernel(host)
+            .processes()
+            .filter(|p| w.core().is_alive((host, p.pid)))
+            .filter(|p| p.command != "idle" && p.pid != Pid::INIT)
+            .map(|p| p.pid)
+            .collect();
+        assert_eq!(
+            mapped, live,
+            "{host}: program map drifted from the live set"
+        );
+    }
+}
+
+#[test]
+fn program_map_tracks_spawn_exit_kill_and_crash_churn() {
+    let (mut w, a, b) = two_hosts(11);
+    let mut roots = Vec::new();
+    for (i, host) in [a, b, a, b].into_iter().enumerate() {
+        let root = Churn {
+            children: 3,
+            life_ms: 150 + 100 * i as u64,
+        };
+        let spec = SpawnSpec::new("churn", Box::new(root));
+        roots.push((host, w.spawn_user(host, Uid(7), spec).unwrap()));
+        w.spawn_user(host, Uid(7), SpawnSpec::inert("idle"))
+            .unwrap();
+    }
+    for _ in 0..2 {
+        w.run_for(SimDuration::from_millis(60));
+        assert_programs_match_live(&w);
+    }
+    w.post_signal(Uid(7), roots[2], Signal::Kill).unwrap();
+    w.post_signal(Uid(7), roots[3], Signal::Term).unwrap();
+    w.run_for(SimDuration::from_millis(20));
+    assert!(!w.core().is_alive(roots[2]) && !w.core().is_alive(roots[3]));
+    assert_programs_match_live(&w);
+    w.schedule_crash(b, SimDuration::from_millis(5));
+    w.run_for(SimDuration::from_millis(20));
+    assert_eq!(w.core().host(b).program_pids().count(), 0);
+    assert_programs_match_live(&w);
+    w.schedule_restart(b, SimDuration::from_millis(5));
+    w.run_for(SimDuration::from_millis(600));
+    assert_programs_match_live(&w);
+    assert_eq!(
+        w.core().host(b).program_pids().count(),
+        1,
+        "only the rebooted inetd carries a program"
+    );
 }

@@ -1,22 +1,27 @@
-//! Backend conformance: one suite of observation programs, run over both
-//! the simulated runtime and the real loopback runtime through the
-//! [`Runtime`] facade.
+//! Backend conformance: one suite of observation programs, run over the
+//! simulated runtime, the real loopback runtime and the model checker's
+//! world through the [`Runtime`] facade.
 //!
 //! The programs report what they observed through stable storage (the
 //! facade's only introspection channel), so the assertions are identical
-//! for both backends: message ordering over a connection, timer firing
+//! for every backend: message ordering over a connection, timer firing
 //! and cancellation, deadline expiry against the backend clock, refused
-//! connects, close notification, and child-exit plus kernel-event
-//! delivery for adopted processes.
+//! connects, close notification, child-exit plus kernel-event delivery
+//! for adopted processes, stop/continue holding a pending timer, the
+//! `SignalDelivered` report for every signal, and a panicking callback
+//! turning into the death of its process by SIGKILL.
 
 use bytes::Bytes;
 
+use ppm_core::pmd::PmdOptions;
+use ppm_core::users::UserDirectory;
+use ppm_mc::McWorld;
 use ppm_proto::kernel_wire::for_each_kernel_msg;
 use ppm_runtime::events::{KernelEvent, TraceFlags};
 use ppm_runtime::ids::{ConnId, CpuClass, HostId, Pid, Port, Uid};
-use ppm_runtime::program::{ConnEvent, KernelMsg, Program, SpawnSpec, SysError};
+use ppm_runtime::program::{ConnEvent, KernelMsg, Program, SigAction, SpawnSpec, SysError};
 use ppm_runtime::rt::Runtime;
-use ppm_runtime::signal::ExitStatus;
+use ppm_runtime::signal::{ExitStatus, Signal};
 use ppm_runtime::sys::Sys;
 use ppm_runtime::time::{Micros, SimDuration};
 
@@ -291,6 +296,176 @@ impl Program for ParentProg {
     }
 }
 
+/// Arms a timer on start and records the backend clock when it fires.
+struct SleepyChild;
+
+impl Program for SleepyChild {
+    fn on_start(&mut self, sys: &mut dyn Sys) {
+        sys.set_timer(SimDuration::from_millis(300), 1);
+    }
+
+    fn on_timer(&mut self, sys: &mut dyn Sys, _token: u64) {
+        let at = sys.now().as_micros().to_string();
+        sys.stable_put("conf.stop.fired", at);
+    }
+
+    fn name(&self) -> &str {
+        "sleepy-child"
+    }
+}
+
+/// Spawns a [`SleepyChild`], stops it before its timer is due and
+/// continues it well after, recording when SIGCONT was sent.
+struct StopContParent {
+    child: Option<Pid>,
+}
+
+impl Program for StopContParent {
+    fn on_start(&mut self, sys: &mut dyn Sys) {
+        let spec = SpawnSpec::new("sleepy-child", Box::new(SleepyChild));
+        self.child = Some(sys.spawn(spec).expect("spawn child"));
+        sys.set_timer(SimDuration::from_millis(200), 0);
+        sys.set_timer(SimDuration::from_millis(800), 1);
+    }
+
+    fn on_timer(&mut self, sys: &mut dyn Sys, token: u64) {
+        let child = self.child.expect("spawned");
+        if token == 0 {
+            sys.kill(child, Signal::Stop).expect("stop child");
+        } else {
+            let at = sys.now().as_micros().to_string();
+            sys.stable_put("conf.stop.cont_at", at);
+            sys.kill(child, Signal::Cont).expect("continue child");
+        }
+    }
+
+    fn name(&self) -> &str {
+        "stop-cont-parent"
+    }
+}
+
+/// Catches SIGTERM and exits with code 3 from inside the handler.
+struct TermCatcher;
+
+impl Program for TermCatcher {
+    fn on_signal(&mut self, sys: &mut dyn Sys, signal: Signal) -> SigAction {
+        if signal == Signal::Term {
+            sys.exit(3);
+        }
+        SigAction::Handled
+    }
+
+    fn name(&self) -> &str {
+        "term-catcher"
+    }
+}
+
+/// Spawns and adopts a child, sends it `plan` one signal per 100 ms once
+/// it runs, and records the signal and exit events its kernel socket
+/// reports about the child, in order, under `key` once the child exits.
+struct SignalTracer {
+    key: &'static str,
+    make_child: fn() -> SpawnSpec,
+    plan: Vec<Signal>,
+    child: Option<Pid>,
+    seen: Vec<String>,
+}
+
+impl SignalTracer {
+    fn note(&mut self, sys: &mut dyn Sys, msg: KernelMsg) {
+        let line = match msg.event {
+            KernelEvent::SignalDelivered { pid, signal } if Some(pid) == self.child => {
+                format!("sig {signal}")
+            }
+            KernelEvent::Stopped { pid } if Some(pid) == self.child => "stop".to_string(),
+            KernelEvent::Continued { pid } if Some(pid) == self.child => "cont".to_string(),
+            KernelEvent::Exit { pid, status, .. } if Some(pid) == self.child => {
+                self.seen.push(status.to_string());
+                sys.stable_put(self.key, self.seen.join(","));
+                return;
+            }
+            _ => return,
+        };
+        self.seen.push(line);
+    }
+}
+
+impl Program for SignalTracer {
+    fn on_start(&mut self, sys: &mut dyn Sys) {
+        sys.register_kernel_socket();
+        let pid = sys.spawn((self.make_child)()).expect("spawn child");
+        sys.adopt(pid, TraceFlags::PROC | TraceFlags::SIGNALS)
+            .expect("adopt own child");
+        self.child = Some(pid);
+        for i in 0..self.plan.len() {
+            sys.set_timer(SimDuration::from_millis(200 + 100 * i as u64), i as u64);
+        }
+    }
+
+    fn on_timer(&mut self, sys: &mut dyn Sys, token: u64) {
+        let signal = self.plan[token as usize];
+        sys.kill(self.child.expect("spawned"), signal)
+            .expect("signal own child");
+    }
+
+    fn on_kernel_batch(&mut self, sys: &mut dyn Sys, data: Bytes) {
+        let mut msgs = Vec::new();
+        for_each_kernel_msg(&data, |m| msgs.push(m));
+        for msg in msgs {
+            self.note(sys, msg);
+        }
+    }
+
+    fn name(&self) -> &str {
+        "signal-tracer"
+    }
+}
+
+/// Panics in its first timer callback.
+struct PanicChild;
+
+impl Program for PanicChild {
+    fn on_start(&mut self, sys: &mut dyn Sys) {
+        sys.set_timer(SimDuration::from_millis(20), 1);
+    }
+
+    fn on_timer(&mut self, _sys: &mut dyn Sys, _token: u64) {
+        panic!("deliberate panic in on_timer");
+    }
+
+    fn name(&self) -> &str {
+        "panic-child"
+    }
+}
+
+/// Spawns a [`PanicChild`] and records how its child exit reads.
+struct PanicParent;
+
+impl Program for PanicParent {
+    fn on_start(&mut self, sys: &mut dyn Sys) {
+        sys.spawn(SpawnSpec::new("panic-child", Box::new(PanicChild)))
+            .expect("spawn child");
+    }
+
+    fn on_child_exit(&mut self, sys: &mut dyn Sys, _child: Pid, status: ExitStatus) {
+        sys.stable_put("conf.panic", status.to_string());
+    }
+
+    fn name(&self) -> &str {
+        "panic-parent"
+    }
+}
+
+/// Parses a recorded microsecond instant.
+fn micros(v: Option<Bytes>) -> Option<u64> {
+    v.map(|v| {
+        std::str::from_utf8(&v)
+            .expect("utf-8")
+            .parse()
+            .expect("a number")
+    })
+}
+
 /// Runs the whole suite against one backend.
 fn conformance_suite<R: Runtime>(rt: &mut R) {
     let alpha = rt.add_host("alpha", CpuClass::Vax780);
@@ -360,6 +535,51 @@ fn conformance_suite<R: Runtime>(rt: &mut R) {
         )
         .expect("spawn parent");
 
+    let stop_cont = rt
+        .spawn_user(
+            alpha,
+            USER,
+            SpawnSpec::new("stop-cont-parent", Box::new(StopContParent { child: None })),
+        )
+        .expect("spawn stop/cont parent");
+    rt.spawn_user(
+        alpha,
+        USER,
+        SpawnSpec::new(
+            "signal-tracer",
+            Box::new(SignalTracer {
+                key: "conf.sig.catch",
+                make_child: || SpawnSpec::new("term-catcher", Box::new(TermCatcher)),
+                plan: vec![Signal::Term],
+                child: None,
+                seen: Vec::new(),
+            }),
+        ),
+    )
+    .expect("spawn catch tracer");
+    rt.spawn_user(
+        alpha,
+        USER,
+        SpawnSpec::new(
+            "signal-tracer",
+            Box::new(SignalTracer {
+                key: "conf.sig.uncatchable",
+                make_child: || SpawnSpec::inert("sleeper"),
+                plan: vec![Signal::Stop, Signal::Cont, Signal::Kill],
+                child: None,
+                seen: Vec::new(),
+            }),
+        ),
+    )
+    .expect("spawn stop/cont/kill tracer");
+    let panic_parent = rt
+        .spawn_user(
+            beta,
+            USER,
+            SpawnSpec::new("panic-parent", Box::new(PanicParent)),
+        )
+        .expect("spawn panic parent");
+
     let budget = 5_000;
     assert_eq!(
         wait_for(rt, alpha, "conf.order", budget).as_deref(),
@@ -397,6 +617,35 @@ fn conformance_suite<R: Runtime>(rt: &mut R) {
         "the tracer receives the kernel Exit event for an adopted child"
     );
     assert!(rt.is_alive(beta, parent), "the parent program is still up");
+    let fired = micros(wait_for(rt, alpha, "conf.stop.fired", budget)).expect("timer fired");
+    let cont_at = micros(rt.stable_get(alpha, "conf.stop.cont_at"));
+    assert!(
+        cont_at.is_some_and(|c| fired >= c),
+        "a stopped process's timer waits for SIGCONT (fired at {fired} us, continued at {cont_at:?} us)"
+    );
+    assert!(
+        rt.is_alive(alpha, stop_cont),
+        "the stop/cont parent is still up"
+    );
+    assert_eq!(
+        wait_for(rt, alpha, "conf.sig.catch", budget).as_deref(),
+        Some(&b"sig SIGTERM,exit(3)"[..]),
+        "a caught signal is reported before its handler runs"
+    );
+    assert_eq!(
+        wait_for(rt, alpha, "conf.sig.uncatchable", budget).as_deref(),
+        Some(&b"sig SIGSTOP,stop,sig SIGCONT,cont,sig SIGKILL,killed by SIGKILL"[..]),
+        "STOP, CONT and KILL are each reported as delivered"
+    );
+    assert_eq!(
+        wait_for(rt, beta, "conf.panic", budget).as_deref(),
+        Some(&b"killed by SIGKILL"[..]),
+        "a panicking callback kills its process by SIGKILL"
+    );
+    assert!(
+        rt.is_alive(beta, panic_parent),
+        "the panicking child's parent keeps running"
+    );
     assert!(rt.now() > Micros::ZERO, "the backend clock advanced");
 }
 
@@ -409,5 +658,16 @@ fn sim_backend_conforms() {
 #[test]
 fn real_backend_conforms() {
     let mut rt = ppm_realos::RealRuntime::new();
+    conformance_suite(&mut rt);
+}
+
+#[test]
+fn mc_backend_conforms() {
+    let mut rt = McWorld::new(
+        &[],
+        UserDirectory::new(),
+        PmdOptions::default(),
+        SimDuration::from_secs(3600),
+    );
     conformance_suite(&mut rt);
 }

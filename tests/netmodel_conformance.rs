@@ -1,9 +1,15 @@
 //! Flat-wire conformance: the netmodel subsystem must be invisible
-//! unless a topology is installed. Every digest pinned here was
+//! unless a topology is installed. Every flat digest pinned here was
 //! captured with `ppm-sim --digest` on the tree as of the commit that
 //! introduced the network model — if one of these assertions fires,
 //! the flat wire law (the default) changed observable behaviour, which
 //! breaks replayability of every previously published run.
+//!
+//! Two more pins — the 64-host chain and `congestion.ppm` under the
+//! `fat-tree` preset — were captured on the tree just before the three
+//! backends' process code was folded into the shared host core
+//! (`ppm_runtime::host`); they hold the simulator's process semantics,
+//! deep relays and routed pricing in place alongside the flat pins.
 //!
 //! The routed half of the suite pins determinism, not bytes: the same
 //! topology run twice must agree with itself, and full-mesh must
@@ -68,6 +74,26 @@ fn flat_chain_digest_matches_the_pre_netmodel_tree() {
     let text = scenario::chain_scenario(24);
     let got = run_digest(&text, None, None);
     assert_eq!(got, "24d16adf4dd8624b", "chain-24: flat digest drifted");
+}
+
+#[test]
+fn chain_64_digest_matches_the_pre_host_core_tree() {
+    let text = scenario::chain_scenario(64);
+    let got = run_digest(&text, None, None);
+    assert_eq!(got, "defb42b1e399d76f", "chain-64: digest drifted");
+}
+
+#[test]
+fn fat_tree_congestion_digest_matches_the_pre_host_core_tree() {
+    let text = scenario_file("congestion.ppm");
+    let sc = scenario::parse(&text).expect("parses");
+    let hosts: Vec<String> = sc.hosts.iter().map(|(n, _)| n.clone()).collect();
+    let spec = NetSpec::preset("fat-tree", &hosts).expect("preset builds");
+    let got = run_digest(&text, None, Some(&spec));
+    assert_eq!(
+        got, "a523d084444969df",
+        "congestion.ppm on fat-tree: digest drifted"
+    );
 }
 
 #[test]
