@@ -22,7 +22,7 @@
 //! returns, on the wall clock.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeSet, BinaryHeap, HashMap, VecDeque};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
@@ -170,6 +170,9 @@ pub struct NodeCore {
     tx: Sender<NodeEvent>,
     core: HostCore,
     conns: HashMap<ConnId, RConn>,
+    /// Per owner, the ids of its non-`Closed` connections: exit walks
+    /// these, not every connection the node has had.
+    open: HashMap<Pid, BTreeSet<ConnId>>,
     next_conn: u64,
     listeners: HashMap<Port, RListener>,
     stable: HashMap<String, Bytes>,
@@ -199,6 +202,7 @@ impl NodeCore {
             tx,
             core: HostCore::new(Micros::ZERO),
             conns: HashMap::new(),
+            open: HashMap::new(),
             next_conn: 1,
             listeners: HashMap::new(),
             stable: HashMap::new(),
@@ -271,7 +275,7 @@ impl NodeCore {
                     }
                 }
                 let event = if broke {
-                    c.state = RConnState::Closed;
+                    self.mark_closed(conn);
                     ConnEvent::Closed
                 } else {
                     c.state = RConnState::Up { stream: writer };
@@ -281,24 +285,24 @@ impl NodeCore {
                     .push_back(Deferred::Run(owner, Callback::Conn(conn, event)));
             }
             NodeEvent::ConnFail { conn, error } => {
-                let Some(c) = self.conns.get_mut(&conn) else {
+                let Some(c) = self.conns.get(&conn) else {
                     return;
                 };
                 let owner = c.owner;
-                c.state = RConnState::Closed;
+                self.mark_closed(conn);
                 let event = ConnEvent::Failed(error);
                 self.actions
                     .push_back(Deferred::Run(owner, Callback::Conn(conn, event)));
             }
             NodeEvent::PeerClosed { conn } => {
-                let Some(c) = self.conns.get_mut(&conn) else {
+                let Some(c) = self.conns.get(&conn) else {
                     return;
                 };
                 if matches!(c.state, RConnState::Closed) {
                     return;
                 }
                 let owner = c.owner;
-                c.state = RConnState::Closed;
+                self.mark_closed(conn);
                 let event = ConnEvent::Closed;
                 self.actions
                     .push_back(Deferred::Run(owner, Callback::Conn(conn, event)));
@@ -316,13 +320,7 @@ impl NodeCore {
                 let conn = self.alloc_conn();
                 let writer = stream.try_clone().expect("clone stream");
                 net::spawn_reader(conn, stream, self.tx.clone());
-                self.conns.insert(
-                    conn,
-                    RConn {
-                        owner,
-                        state: RConnState::Up { stream: writer },
-                    },
-                );
+                self.open_conn(conn, owner, RConnState::Up { stream: writer });
                 if let Ok(p) = self.core.kernel.live_mut(owner) {
                     p.fds.alloc(FdKind::Socket { conn });
                 }
@@ -430,6 +428,25 @@ impl NodeCore {
 
     // ---- helpers ---------------------------------------------------------
 
+    fn open_conn(&mut self, conn: ConnId, owner: Pid, state: RConnState) {
+        self.conns.insert(conn, RConn { owner, state });
+        self.open.entry(owner).or_default().insert(conn);
+    }
+
+    /// Marks a connection `Closed` (dropping its writer) and takes it out
+    /// of its owner's open set. Returns the state it left.
+    fn mark_closed(&mut self, conn: ConnId) -> Option<RConnState> {
+        let c = self.conns.get_mut(&conn)?;
+        let was = std::mem::replace(&mut c.state, RConnState::Closed);
+        if let Some(open) = self.open.get_mut(&c.owner) {
+            open.remove(&conn);
+            if open.is_empty() {
+                self.open.remove(&c.owner);
+            }
+        }
+        Some(was)
+    }
+
     fn alloc_conn(&mut self) -> ConnId {
         // Upper bits carry the host so conn ids never collide across the
         // cluster in traces.
@@ -455,6 +472,7 @@ impl NodeCore {
             }
             c.state = RConnState::Closed;
         }
+        self.open.clear();
         let mut ports = self.cluster.ports.lock().unwrap();
         ports.retain(|&(host, _), _| host != self.host);
     }
@@ -535,12 +553,9 @@ impl Policy for NodeCore {
                 .unwrap()
                 .remove(&(self.host, port));
         }
-        for c in self.conns.values_mut() {
-            if c.owner == pid {
-                if let RConnState::Up { stream } = &c.state {
-                    let _ = stream.shutdown(Shutdown::Both);
-                }
-                c.state = RConnState::Closed;
+        for conn in self.open.remove(&pid).unwrap_or_default() {
+            if let Some(RConnState::Up { stream }) = self.mark_closed(conn) {
+                let _ = stream.shutdown(Shutdown::Both);
             }
         }
         self.timer_entries.retain(|_, (owner, _)| *owner != pid);
@@ -629,13 +644,8 @@ impl Transport for RealSys<'_> {
             return Err(SysError::NoSuchHost);
         }
         let conn = self.node.alloc_conn();
-        self.node.conns.insert(
-            conn,
-            RConn {
-                owner: self.pid,
-                state: RConnState::Connecting { queued: Vec::new() },
-            },
-        );
+        let connecting = RConnState::Connecting { queued: Vec::new() };
+        self.node.open_conn(conn, self.pid, connecting);
         if let Ok(p) = self.node.core.kernel.live_mut(self.pid) {
             p.fds.alloc(FdKind::Socket { conn });
         }
@@ -670,7 +680,7 @@ impl Transport for RealSys<'_> {
             RConnState::Closed => return Err(SysError::ConnectionClosed),
         }
         if closed_now {
-            c.state = RConnState::Closed;
+            self.node.mark_closed(conn);
             let callback = Callback::Conn(conn, ConnEvent::Closed);
             self.node
                 .actions
@@ -693,18 +703,13 @@ impl Transport for RealSys<'_> {
     }
 
     fn close(&mut self, conn: ConnId) -> Result<(), SysError> {
-        let c = self
-            .node
-            .conns
-            .get_mut(&conn)
-            .ok_or(SysError::NotConnected)?;
+        let c = self.node.conns.get(&conn).ok_or(SysError::NotConnected)?;
         if c.owner != self.pid {
             return Err(SysError::NotConnected);
         }
-        if let RConnState::Up { stream } = &c.state {
+        if let Some(RConnState::Up { stream }) = self.node.mark_closed(conn) {
             let _ = stream.shutdown(Shutdown::Both);
         }
-        c.state = RConnState::Closed;
         if let Ok(p) = self.node.core.kernel.live_mut(self.pid) {
             if let Some(fd) = p.fds.fd_for_conn(conn) {
                 p.fds.release(fd);

@@ -7,6 +7,7 @@
 //! recovery in Section 5 is driven by partitions and host crashes). This
 //! module models exactly those.
 
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 
 // Host identity and hardware class live in the backend-agnostic runtime
@@ -65,6 +66,42 @@ pub struct Topology {
     by_name: HashMap<String, HostId>,
     // adjacency: for each host, the set of (peer, link_up) entries
     adj: Vec<Vec<(HostId, bool)>>,
+    /// Memoized BFS rows for [`Topology::hops`]; every mutation clears it.
+    hop_cache: RefCell<HopCache>,
+}
+
+/// Upper bound on the cells (one per `(source, host)` pair) the hop cache
+/// holds: 2 Mi cells of 4 bytes, 8 MiB. Up to 1448 hosts the whole
+/// distance matrix fits; beyond that the cache keeps `HOP_CACHE_CELLS / n`
+/// rows and recycles them round-robin.
+const HOP_CACHE_CELLS: usize = 2 << 20;
+
+/// Row cell for a host the source cannot reach.
+const UNREACHED: u32 = u32::MAX;
+
+/// Lazily filled single-source hop distances, one row per source host.
+/// Rows live in one flat arena, so a hit allocates nothing.
+#[derive(Debug, Clone, Default)]
+struct HopCache {
+    /// Per source host: its row's slot in `cells`, if cached.
+    slot_of: Vec<Option<u32>>,
+    /// Per slot: the source host whose row it holds.
+    owner: Vec<HostId>,
+    /// `owner.len()` rows of `n` cells each.
+    cells: Vec<u32>,
+    /// Next slot to recycle once the arena is at its cap.
+    victim: usize,
+    /// Reused BFS frontier.
+    queue: VecDeque<HostId>,
+}
+
+impl HopCache {
+    fn clear(&mut self) {
+        self.slot_of.clear();
+        self.owner.clear();
+        self.cells.clear();
+        self.victim = 0;
+    }
 }
 
 impl Topology {
@@ -88,6 +125,7 @@ impl Topology {
         self.by_name.insert(spec.name.clone(), id);
         self.hosts.push(HostEntry { spec, up: true });
         self.adj.push(Vec::new());
+        self.hop_cache.get_mut().clear();
         id
     }
 
@@ -106,6 +144,7 @@ impl Topology {
             self.adj[a.0 as usize].push((b, true));
             self.adj[b.0 as usize].push((a, true));
         }
+        self.hop_cache.get_mut().clear();
     }
 
     /// Number of hosts.
@@ -146,6 +185,7 @@ impl Topology {
     pub fn set_host_up(&mut self, id: HostId, up: bool) {
         self.check(id);
         self.hosts[id.0 as usize].up = up;
+        self.hop_cache.get_mut().clear();
     }
 
     /// Takes a link down (partition) or brings it back.
@@ -164,6 +204,7 @@ impl Topology {
                 *live = up;
             }
         }
+        self.hop_cache.get_mut().clear();
         found
     }
 
@@ -178,6 +219,10 @@ impl Topology {
     ///
     /// Returns `Some(0)` when `a == b` (and `a` is up), `None` when
     /// unreachable or either endpoint is down.
+    ///
+    /// The first query from a source runs one BFS and caches its whole
+    /// distance row until the next mutation, so repeat queries cost a
+    /// lookup.
     pub fn hops(&self, a: HostId, b: HostId) -> Option<u32> {
         if !self.is_up(a) || !self.is_up(b) {
             return None;
@@ -185,25 +230,53 @@ impl Topology {
         if a == b {
             return Some(0);
         }
-        // Plain BFS; host counts in this system are tens of nodes.
-        let mut dist: HashMap<HostId, u32> = HashMap::new();
-        dist.insert(a, 0);
-        let mut q = VecDeque::new();
-        q.push_back(a);
-        while let Some(u) = q.pop_front() {
-            let du = dist[&u];
+        let n = self.hosts.len();
+        let mut cache = self.hop_cache.borrow_mut();
+        let slot = match cache.slot_of.get(a.0 as usize).copied().flatten() {
+            Some(slot) => slot as usize,
+            None => self.fill_row(&mut cache, a),
+        };
+        match cache.cells[slot * n + b.0 as usize] {
+            UNREACHED => None,
+            d => Some(d),
+        }
+    }
+
+    /// Runs a BFS from `a` into a cache slot and returns the slot.
+    fn fill_row(&self, cache: &mut HopCache, a: HostId) -> usize {
+        let n = self.hosts.len();
+        if cache.slot_of.len() != n {
+            cache.slot_of.resize(n, None);
+        }
+        let max_rows = (HOP_CACHE_CELLS / n).max(1);
+        let slot = if cache.owner.len() < max_rows {
+            cache.owner.push(a);
+            cache.cells.resize(cache.owner.len() * n, UNREACHED);
+            cache.owner.len() - 1
+        } else {
+            let slot = cache.victim;
+            cache.victim = (slot + 1) % max_rows;
+            let evicted = std::mem::replace(&mut cache.owner[slot], a);
+            cache.slot_of[evicted.0 as usize] = None;
+            slot
+        };
+        cache.slot_of[a.0 as usize] = Some(slot as u32);
+        let HopCache { cells, queue, .. } = cache;
+        let row = &mut cells[slot * n..(slot + 1) * n];
+        row.fill(UNREACHED);
+        row[a.0 as usize] = 0;
+        queue.clear();
+        queue.push_back(a);
+        while let Some(u) = queue.pop_front() {
+            let du = row[u.0 as usize];
             for &(v, live) in &self.adj[u.0 as usize] {
-                if !live || !self.is_up(v) || dist.contains_key(&v) {
-                    continue;
+                if live && self.is_up(v) && row[v.0 as usize] == UNREACHED {
+                    row[v.0 as usize] = du + 1;
+                    queue.push_back(v);
                 }
-                if v == b {
-                    return Some(du + 1);
-                }
-                dist.insert(v, du + 1);
-                q.push_back(v);
             }
         }
-        None
+        slot
     }
 
     /// All hosts reachable from `a` (including `a` itself, if up).
@@ -751,6 +824,32 @@ mod tests {
         assert_eq!(t.hops(ids[0], ids[0]), Some(0));
         assert_eq!(t.hops(ids[0], ids[1]), Some(1));
         assert_eq!(t.hops(ids[0], ids[3]), Some(3));
+    }
+
+    #[test]
+    fn hop_cache_stays_bounded_and_exact_past_its_row_cap() {
+        // 2100 hosts: the cap holds fewer rows than there are sources, so
+        // the second sweep recycles rows while answering exactly.
+        let n = 2100;
+        let (t, ids) = chain(n);
+        let max_rows = HOP_CACHE_CELLS / n;
+        assert!(max_rows < n);
+        for _ in 0..2 {
+            for (i, &src) in ids.iter().enumerate().step_by(3) {
+                assert_eq!(t.hops(src, ids[0]), Some(i as u32));
+                assert_eq!(t.hops(src, ids[n - 1]), Some((n - 1 - i) as u32));
+            }
+            for (i, &src) in ids.iter().enumerate() {
+                assert_eq!(t.hops(src, ids[n / 2]), Some(i.abs_diff(n / 2) as u32));
+            }
+        }
+        let cache = t.hop_cache.borrow();
+        assert_eq!(cache.owner.len(), max_rows);
+        assert!(cache.cells.len() <= HOP_CACHE_CELLS);
+        for (slot, owner) in cache.owner.iter().enumerate() {
+            assert_eq!(cache.slot_of[owner.0 as usize], Some(slot as u32));
+        }
+        assert_eq!(cache.slot_of.iter().flatten().count(), max_rows);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 
 use ppm_simnet::engine::{Engine, TimerWheel};
 use ppm_simnet::time::{SimDuration, SimTime};
-use ppm_simnet::topology::{CpuClass, HostSpec, Topology};
+use ppm_simnet::topology::{CpuClass, HostId, HostSpec, Topology};
 
 // ---- engine ---------------------------------------------------------------
 
@@ -288,6 +288,107 @@ proptest! {
                 let reachable = topo.hops(src, dst).is_some();
                 prop_assert_eq!(reach.contains(&dst), reachable);
             }
+        }
+    }
+}
+
+/// The mutable model a hop-cache run is checked against: links with
+/// their up flags and host up flags.
+#[derive(Clone)]
+struct NetModelRef {
+    links: Vec<(usize, usize, bool)>,
+    up: Vec<bool>,
+}
+
+impl NetModelRef {
+    /// Uncached BFS over live hosts and live links.
+    fn hops(&self, a: usize, b: usize) -> Option<u32> {
+        if !self.up[a] || !self.up[b] {
+            return None;
+        }
+        let mut dist = vec![None; self.up.len()];
+        dist[a] = Some(0);
+        let mut queue = std::collections::VecDeque::from([a]);
+        while let Some(u) = queue.pop_front() {
+            let du = dist[u].expect("queued hosts have a distance");
+            for &(x, y, live) in &self.links {
+                let v = if x == u {
+                    y
+                } else if y == u {
+                    x
+                } else {
+                    continue;
+                };
+                if live && self.up[v] && dist[v].is_none() {
+                    dist[v] = Some(du + 1);
+                    queue.push_back(v);
+                }
+            }
+        }
+        dist[b]
+    }
+
+    fn assert_matches(&self, topo: &Topology, ids: &[HostId]) {
+        for (i, &a) in ids.iter().enumerate() {
+            for (j, &b) in ids.iter().enumerate() {
+                assert_eq!(topo.hops(a, b), self.hops(i, j), "hops({i},{j})");
+            }
+        }
+    }
+}
+
+proptest! {
+    /// The memoized hop distances track every mutation: after each random
+    /// `add_host`, `add_link`, `set_link_up` or `set_host_up`, `hops`
+    /// equals an uncached BFS for every pair (each check fills the whole
+    /// cache, so a missed invalidation is caught). A clone taken before a
+    /// mutation keeps answering for its own topology.
+    #[test]
+    fn hop_cache_matches_uncached_bfs_under_mutation(
+        n in 2usize..10,
+        ops in prop::collection::vec((0u8..4, 0usize..12, 0usize..12, any::<bool>()), 1..40),
+    ) {
+        let mut topo = Topology::new();
+        let mut ids: Vec<HostId> = (0..n)
+            .map(|i| topo.add_host(HostSpec::new(format!("h{i}"), CpuClass::Vax780)))
+            .collect();
+        let mut model = NetModelRef { links: Vec::new(), up: vec![true; n] };
+        model.assert_matches(&topo, &ids);
+        for (kind, x, y, flag) in ops {
+            let before = (topo.clone(), model.clone());
+            let (a, b) = (x % ids.len(), y % ids.len());
+            match kind {
+                0 if a != b => {
+                    topo.add_link(ids[a], ids[b]);
+                    if !model.links.iter().any(|&(p, q, _)| (p, q) == (a, b) || (p, q) == (b, a)) {
+                        model.links.push((a, b, true));
+                    }
+                }
+                1 => {
+                    let found = topo.set_link_up(ids[a], ids[b], flag);
+                    let mut known = false;
+                    for l in &mut model.links {
+                        if (l.0, l.1) == (a, b) || (l.0, l.1) == (b, a) {
+                            l.2 = flag;
+                            known = true;
+                        }
+                    }
+                    prop_assert_eq!(found, known);
+                }
+                2 => {
+                    topo.set_host_up(ids[a], flag);
+                    model.up[a] = flag;
+                }
+                3 if ids.len() < 12 => {
+                    let name = format!("h{}", ids.len());
+                    ids.push(topo.add_host(HostSpec::new(name, CpuClass::Sun2)));
+                    model.up.push(true);
+                }
+                _ => {}
+            }
+            model.assert_matches(&topo, &ids);
+            let (old_topo, old_model) = before;
+            old_model.assert_matches(&old_topo, &ids[..old_model.up.len()]);
         }
     }
 }

@@ -14,7 +14,7 @@
 //! Programs never call each other directly, mirroring the paper's
 //! message-based LPM design.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 use bytes::Bytes;
@@ -59,6 +59,10 @@ pub(crate) struct HostState {
     /// Services running when the host crashed, name-sorted; a restart
     /// re-runs them the way init re-runs /etc/rc after a power failure.
     pub prev_services: Vec<String>,
+    /// Ids of the non-`Closed` connections with an endpoint on this host,
+    /// ascending. Exit and crash teardown walk this instead of every
+    /// connection the run has opened.
+    pub open_conns: BTreeSet<ConnId>,
 }
 
 /// Events flowing through the engine. Internal to the crate; programs see
@@ -265,6 +269,12 @@ impl WorldCore {
         self.conns.get(&id)
     }
 
+    /// Ids of the non-`Closed` connections with an endpoint on `host`,
+    /// ascending.
+    pub fn open_connections(&self, host: HostId) -> impl Iterator<Item = ConnId> + '_ {
+        self.hs(host).open_conns.iter().copied()
+    }
+
     pub(crate) fn tracef(&mut self, host: Option<HostId>, cat: TraceCategory, text: String) {
         let now = self.engine.now();
         self.trace.record(now, host, cat, text);
@@ -439,6 +449,8 @@ impl WorldCore {
                 };
                 let c = Connection::new(id, from, (target, server_pid), port, now);
                 self.conns.insert(id, c);
+                self.hs_mut(from.0).open_conns.insert(id);
+                self.hs_mut(target).open_conns.insert(id);
                 if let Ok(p) = self.kernel_mut(from.0).live_mut(from.1) {
                     p.fds.alloc(FdKind::Socket { conn: id });
                 }
@@ -741,14 +753,21 @@ impl WorldCore {
         ids.prev_bisection = bis;
     }
 
+    /// The one place a connection becomes `Closed`; it also leaves both
+    /// endpoint hosts' open sets.
     pub(crate) fn mark_closed(&mut self, conn: ConnId) {
         let now = self.now();
-        if let Some(c) = self.conns.get_mut(&conn) {
-            if c.state != ConnState::Closed {
-                c.state = ConnState::Closed;
-                c.stats.closed_at = Some(now);
-            }
+        let Some(c) = self.conns.get_mut(&conn) else {
+            return;
+        };
+        if c.state == ConnState::Closed {
+            return;
         }
+        c.state = ConnState::Closed;
+        c.stats.closed_at = Some(now);
+        let (a, b) = (c.client.0, c.server.0);
+        self.hs_mut(a).open_conns.remove(&conn);
+        self.hs_mut(b).open_conns.remove(&conn);
     }
 
     fn route_state(&self, a: HostId, b: HostId) -> RouteState {
@@ -895,13 +914,10 @@ impl Policy for WorldCore {
         self.hs_mut(host)
             .listeners
             .retain(|_, &mut owner| owner != pid);
-        let mut ids: Vec<ConnId> = self
-            .conns
-            .values()
-            .filter(|c| c.state != ConnState::Closed && c.touches_proc(host, pid))
-            .map(|c| c.id)
+        let ids: Vec<ConnId> = self
+            .open_connections(host)
+            .filter(|id| self.conns[id].touches_proc(host, pid))
             .collect();
-        ids.sort_unstable();
         for id in ids {
             self.break_conn(id, key);
         }
@@ -1018,6 +1034,7 @@ impl World {
             listeners: HashMap::new(),
             stable: HashMap::new(),
             prev_services: Vec::new(),
+            open_conns: BTreeSet::new(),
         });
         self.boot_daemons(id);
         let tick = self.core.config.load_tick;
@@ -1411,14 +1428,7 @@ impl World {
             .tracef(Some(host), TraceCategory::Net, "host crashed".to_string());
         // Break all connections touching the host; survivors learn after
         // the detection interval.
-        let mut ids: Vec<ConnId> = self
-            .core
-            .conns
-            .values()
-            .filter(|c| c.state != ConnState::Closed && c.touches_host(host))
-            .map(|c| c.id)
-            .collect();
-        ids.sort_unstable();
+        let ids: Vec<ConnId> = self.core.open_connections(host).collect();
         for id in ids {
             let (client, server) = {
                 let c = &self.core.conns[&id];

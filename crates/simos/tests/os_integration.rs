@@ -1,14 +1,18 @@
 //! Integration tests of the simulated OS substrate: stream semantics,
-//! failure propagation, signal dispositions, adoption inheritance, and
-//! deterministic replay.
+//! failure propagation, signal dispositions, adoption inheritance,
+//! deterministic replay, and the bookkeeping indices kept in step with
+//! process and connection churn.
 
 use bytes::Bytes;
 use ppm_runtime::host::Policy;
 use ppm_runtime::sys::Sys;
+use ppm_simnet::latency::LatencyModel;
 use ppm_simnet::time::{SimDuration, SimTime};
 use ppm_simnet::topology::{CpuClass, HostSpec};
+use ppm_simos::config::OsConfig;
 use ppm_simos::events::{KernelEvent, TraceFlags};
 use ppm_simos::ids::{ConnId, Pid, Port, Uid};
+use ppm_simos::net::ConnState;
 use ppm_simos::process::ProcState;
 use ppm_simos::program::{ConnEvent, KernelMsg, Program, SpawnSpec, SysError};
 use ppm_simos::signal::{ExitStatus, Signal};
@@ -716,4 +720,174 @@ fn program_map_tracks_spawn_exit_kill_and_crash_churn() {
         1,
         "only the rebooted inetd carries a program"
     );
+}
+
+/// Listens on a port and logs the connection ids it accepts and sees
+/// close, in arrival order.
+struct Sink {
+    port: Port,
+    accepted: Arc<Mutex<Vec<ConnId>>>,
+    closed: Arc<Mutex<Vec<ConnId>>>,
+}
+
+impl Program for Sink {
+    fn on_start(&mut self, sys: &mut dyn Sys) {
+        sys.listen(self.port).expect("port free");
+    }
+    fn on_conn_event(&mut self, _sys: &mut dyn Sys, conn: ConnId, ev: ConnEvent) {
+        match ev {
+            ConnEvent::Accepted { .. } => self.accepted.lock().unwrap().push(conn),
+            ConnEvent::Closed => self.closed.lock().unwrap().push(conn),
+            _ => {}
+        }
+    }
+}
+
+/// Connects to every target at start; its first timer closes the first
+/// connection it opened.
+struct Dialer {
+    targets: Vec<(ppm_simnet::topology::HostId, Port)>,
+    opened: Arc<Mutex<Vec<ConnId>>>,
+}
+
+impl Program for Dialer {
+    fn on_start(&mut self, sys: &mut dyn Sys) {
+        for &(host, port) in &self.targets {
+            let conn = sys.connect(host, port).expect("connect starts");
+            self.opened.lock().unwrap().push(conn);
+        }
+        sys.set_timer(SimDuration::from_millis(300), 0);
+    }
+    fn on_timer(&mut self, sys: &mut dyn Sys, _token: u64) {
+        let first = self.opened.lock().unwrap()[0];
+        sys.close(first).expect("own connection");
+    }
+}
+
+/// Each host's open-connection index equals the non-`Closed`
+/// connections with an endpoint on that host. Returns the index sizes.
+fn assert_open_index_matches_table(w: &World) -> Vec<usize> {
+    let core = w.core();
+    let mut sizes = Vec::new();
+    for host in core.topology().host_ids() {
+        let indexed: Vec<ConnId> = core.open_connections(host).collect();
+        let open: Vec<ConnId> = core
+            .connections()
+            .filter(|c| c.state != ConnState::Closed && c.touches_host(host))
+            .map(|c| c.id)
+            .collect();
+        assert_eq!(indexed, open, "{host}: open-connection index drifted");
+        sizes.push(indexed.len());
+    }
+    sizes
+}
+
+fn dial(
+    w: &mut World,
+    host: ppm_simnet::topology::HostId,
+    targets: Vec<(ppm_simnet::topology::HostId, Port)>,
+) -> (Pid, Arc<Mutex<Vec<ConnId>>>) {
+    let opened = Arc::new(Mutex::new(Vec::new()));
+    let dialer = Dialer {
+        targets,
+        opened: Arc::clone(&opened),
+    };
+    let pid = w
+        .spawn_user(host, Uid(1), SpawnSpec::new("dialer", Box::new(dialer)))
+        .unwrap();
+    (pid, opened)
+}
+
+#[test]
+fn open_connection_index_tracks_connect_close_exit_and_crash_churn() {
+    // No wire jitter: close notices of one exit land at the same instant,
+    // so the sink sees them in the order the exit broke them.
+    let latency = LatencyModel {
+        jitter_fraction: 0.0,
+        ..LatencyModel::default()
+    };
+    let mut w = World::with_config(OsConfig::default(), latency, 12);
+    let a = w.add_host(HostSpec::new("a", CpuClass::Vax780));
+    let b = w.add_host(HostSpec::new("b", CpuClass::Vax750));
+    let island = w.add_host(HostSpec::new("island", CpuClass::Sun2));
+    w.add_link(a, b);
+    let sink = |w: &mut World| {
+        let accepted = Arc::new(Mutex::new(Vec::new()));
+        let closed = Arc::new(Mutex::new(Vec::new()));
+        let prog = Sink {
+            port: Port(9),
+            accepted: Arc::clone(&accepted),
+            closed: Arc::clone(&closed),
+        };
+        let pid = w
+            .spawn_user(b, Uid(1), SpawnSpec::new("sink", Box::new(prog)))
+            .unwrap();
+        (pid, accepted, closed)
+    };
+    let (server, accepted, closed) = sink(&mut w);
+    w.run_for(SimDuration::from_millis(100));
+
+    // Live, refused and unreachable connects.
+    let mut targets = vec![(b, Port(9)); 5];
+    targets.push((b, Port(77)));
+    targets.push((island, Port(9)));
+    let (client, opened) = dial(&mut w, a, targets);
+    w.run_for(SimDuration::from_millis(200));
+    assert_eq!(accepted.lock().unwrap().len(), 5);
+    assert_eq!(assert_open_index_matches_table(&w), [5, 5, 0]);
+    for &failed in &opened.lock().unwrap()[5..] {
+        let c = w.core().connection(failed).expect("record kept");
+        assert_eq!(
+            c.state,
+            ConnState::Closed,
+            "{failed} refused or unreachable"
+        );
+    }
+
+    // Explicit close of the first connection.
+    w.run_for(SimDuration::from_millis(200));
+    assert_eq!(assert_open_index_matches_table(&w), [4, 4, 0]);
+
+    // The client exits: its four open connections break in ascending id
+    // order, and the sink hears them in that order.
+    w.post_signal(Uid(1), (a, client), Signal::Kill).unwrap();
+    w.run_for(SimDuration::from_millis(200));
+    assert_eq!(assert_open_index_matches_table(&w), [0, 0, 0]);
+    let live: Vec<ConnId> = opened.lock().unwrap()[1..5].to_vec();
+    assert!(live.windows(2).all(|p| p[0] < p[1]));
+    let closed_log = closed.lock().unwrap().clone();
+    assert_eq!(closed_log[closed_log.len() - 4..], live[..]);
+
+    // Peer exit: the server dies under two fresh connections.
+    dial(&mut w, a, vec![(b, Port(9)); 2]);
+    w.run_for(SimDuration::from_millis(200));
+    assert_eq!(assert_open_index_matches_table(&w), [2, 2, 0]);
+    w.post_signal(Uid(1), (b, server), Signal::Kill).unwrap();
+    w.run_for(SimDuration::from_millis(200));
+    assert_eq!(assert_open_index_matches_table(&w), [0, 0, 0]);
+
+    // Host crash breaks remote and local connections; connects to the
+    // dark host fail without being indexed; restart starts clean.
+    sink(&mut w);
+    w.run_for(SimDuration::from_millis(100));
+    dial(&mut w, a, vec![(b, Port(9)); 3]);
+    dial(&mut w, b, vec![(b, Port(9))]);
+    w.run_for(SimDuration::from_millis(200));
+    assert_eq!(assert_open_index_matches_table(&w), [3, 4, 0]);
+    w.schedule_crash(b, SimDuration::from_millis(5));
+    w.run_for(SimDuration::from_millis(10));
+    assert_eq!(assert_open_index_matches_table(&w), [0, 0, 0]);
+    let (_, dark) = dial(&mut w, a, vec![(b, Port(9))]);
+    w.run_for(SimDuration::from_millis(100));
+    let dark = dark.lock().unwrap()[0];
+    assert_eq!(w.core().connection(dark).unwrap().state, ConnState::Closed);
+    assert_eq!(assert_open_index_matches_table(&w), [0, 0, 0]);
+    w.schedule_restart(b, SimDuration::from_millis(5));
+    w.run_for(SimDuration::from_secs(2));
+    assert_eq!(assert_open_index_matches_table(&w), [0, 0, 0]);
+    sink(&mut w);
+    w.run_for(SimDuration::from_millis(100));
+    dial(&mut w, a, vec![(b, Port(9)); 2]);
+    w.run_for(SimDuration::from_millis(200));
+    assert_eq!(assert_open_index_matches_table(&w), [2, 2, 0]);
 }

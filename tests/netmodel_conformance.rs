@@ -11,6 +11,12 @@
 //! (`ppm_runtime::host`); they hold the simulator's process semantics,
 //! deep relays and routed pricing in place alongside the flat pins.
 //!
+//! The last two — `chaos.ppm` under `crash_heal.fault` on `fat-tree`,
+//! and the 256-host chain — were captured just before the simulator
+//! indexed open connections per host and cached hop distances. They run
+//! host crashes, restarts, link cuts and deep relays through both
+//! indices.
+//!
 //! The routed half of the suite pins determinism, not bytes: the same
 //! topology run twice must agree with itself, and full-mesh must
 //! differ from flat only because it *prices* the same sends through
@@ -94,6 +100,26 @@ fn fat_tree_congestion_digest_matches_the_pre_host_core_tree() {
         got, "a523d084444969df",
         "congestion.ppm on fat-tree: digest drifted"
     );
+}
+
+#[test]
+fn fat_tree_crash_heal_digest_matches_the_pre_index_tree() {
+    let text = scenario_file("chaos.ppm");
+    let sc = scenario::parse(&text).expect("parses");
+    let hosts: Vec<String> = sc.hosts.iter().map(|(n, _)| n.clone()).collect();
+    let spec = NetSpec::preset("fat-tree", &hosts).expect("preset builds");
+    let got = run_digest(&text, Some(&scenario_file("crash_heal.fault")), Some(&spec));
+    assert_eq!(
+        got, "8f3041ef07b0966e",
+        "chaos.ppm + crash_heal.fault on fat-tree: digest drifted"
+    );
+}
+
+#[test]
+fn chain_256_digest_matches_the_pre_index_tree() {
+    let text = scenario::chain_scenario(256);
+    let got = run_digest(&text, None, None);
+    assert_eq!(got, "a22c584f702004dd", "chain-256: digest drifted");
 }
 
 #[test]
