@@ -13,11 +13,12 @@
 //! PPM protocols on a small world — exactly the schedules a
 //! discrete-event simulation samples only one of per seed.
 //!
-//! Connections keep per-direction FIFO queues and only the head of each
-//! queue is enabled, so streams stay ordered (TCP semantics) while
-//! independent streams commute. A process death appends `Closed` behind
-//! any in-flight data, preserving the FIN-after-data interleavings that
-//! triggered the dedup-purge bug.
+//! The socket rules are the host core's too; this backend's wire keeps
+//! per-direction FIFO queues per connection, and only the head of each queue is enabled, so
+//! streams stay ordered (TCP semantics) while independent streams commute.
+//! A close or process death appends `Closed` behind any in-flight data,
+//! preserving the FIN-after-data interleavings that triggered the
+//! dedup-purge bug.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::hash::Hasher;
@@ -29,20 +30,18 @@ use ppm_core::{Lpm, Pmd, PmdOptions, UserDirectory, PMD_SERVICE};
 use ppm_proto::codec::{encode_batch, Wire};
 use ppm_proto::Msg;
 use ppm_runtime::events::TraceFlags;
-use ppm_runtime::fd::{FdKind, OpenMode};
+use ppm_runtime::fd::OpenMode;
 use ppm_runtime::hashx::HashX;
-use ppm_runtime::host::{self, Callback, HostCore, Policy};
+use ppm_runtime::host::{self, Callback, Dial, HostCore, Policy, Teardown};
 use ppm_runtime::inetd::Inetd;
 use ppm_runtime::obs::{SharedRegistry, SpanPhase};
-use ppm_runtime::process::{ProcInfo, Rusage};
 use ppm_runtime::rt::Runtime;
 use ppm_runtime::signal::{ExitStatus, Signal};
-use ppm_runtime::sys::{Clock, Spawner, Sys, TimerDriver, TimerHandle, Transport};
+use ppm_runtime::sys::{Clock, CoreView, Spawner, Sys, TimerDriver, TimerHandle, Transport};
 use ppm_runtime::time::{Micros, SimDuration, SimTime};
 use ppm_runtime::trace::TraceCategory;
 use ppm_runtime::{
-    ConnEvent, ConnId, CpuClass, Fd, HostId, KernelMsg, Pid, Port, ProcKey, Program, SpawnSpec,
-    SysError, Uid,
+    ConnId, CpuClass, Fd, HostId, KernelMsg, Pid, Port, ProcKey, Program, SpawnSpec, SysError, Uid,
 };
 
 /// Process key used internally: (host index, pid number). Plain integers
@@ -78,16 +77,15 @@ enum NetItem {
     Closed,
 }
 
-/// A stream connection between two processes.
+/// The wire of a stream connection between two processes. Whether each
+/// end is open is the host core's; items already queued still deliver
+/// after a close (data in flight stays in flight).
 #[derive(Debug)]
 struct Conn {
     /// Initiating endpoint.
     a: K,
     /// Accepting endpoint (the listener's process).
     b: K,
-    /// Both directions usable. Cleared on close/death/blackhole; items
-    /// already queued still deliver (data in flight stays in flight).
-    open: bool,
     /// Items travelling toward `a`.
     to_a: VecDeque<NetItem>,
     /// Items travelling toward `b`.
@@ -134,8 +132,8 @@ pub enum Move {
     Fault(usize),
 }
 
-/// The bounded-model-checking world: per-host cores and stable storage,
-/// and the frontier of pending deliveries.
+/// The bounded-model-checking world: per-host cores (process tables,
+/// sockets, stable storage) and the frontier of pending deliveries.
 pub struct McWorld {
     clock: SimTime,
     /// Timers due after this instant never fire: the end of the modelled
@@ -143,11 +141,9 @@ pub struct McWorld {
     horizon: SimTime,
     host_names: Vec<String>,
     hosts: Vec<HostCore>,
-    stable: Vec<BTreeMap<String, Bytes>>,
     /// Currently cut host pairs (normalized low-high). Everything else
     /// in the static topology is routable; worlds are fully meshed.
     cut_links: BTreeSet<(u32, u32)>,
-    listeners: BTreeMap<(u32, u16), u32>,
     conns: BTreeMap<u64, Conn>,
     next_conn: u64,
     timers: BTreeMap<u64, McTimer>,
@@ -196,9 +192,7 @@ impl McWorld {
             horizon: clock + horizon,
             host_names: Vec::new(),
             hosts: Vec::new(),
-            stable: Vec::new(),
             cut_links: BTreeSet::new(),
-            listeners: BTreeMap::new(),
             conns: BTreeMap::new(),
             next_conn: 1,
             timers: BTreeMap::new(),
@@ -573,27 +567,25 @@ impl McWorld {
             (conn.to_a.pop_front(), conn.a)
         };
         let Some(item) = item else { return };
-        let cid = ConnId(conn_id);
-        let callback = match item {
-            NetItem::Established => Callback::Conn(cid, ConnEvent::Established),
-            NetItem::Accepted { peer, port } => {
-                Callback::Conn(cid, ConnEvent::Accepted { peer, port })
-            }
+        let (cid, key) = (ConnId(conn_id), proc_key(dst));
+        match item {
+            NetItem::Established => host::established(self, key, cid),
+            NetItem::Accepted { peer, port } => host::accepted(self, key, cid, peer, port),
             NetItem::Failed(e) => {
                 self.last_disruption_at = Some(self.clock);
-                Callback::Conn(cid, ConnEvent::Failed(e))
+                host::conn_failed(self, key, cid, e);
             }
-            NetItem::Msg(bytes) => Callback::Message(cid, bytes),
+            NetItem::Msg(bytes) => host::dispatch(self, key, Callback::Message(cid, bytes)),
             NetItem::Closed => {
                 self.last_disruption_at = Some(self.clock);
-                Callback::Conn(cid, ConnEvent::Closed)
+                host::peer_closed(self, key, cid);
             }
-        };
-        host::dispatch(self, proc_key(dst), callback);
+        }
         // Drop fully drained dead connections so they stop contributing
         // moves and digest weight.
         if let Some(c) = self.conns.get(&conn_id) {
-            if !c.open && c.to_a.is_empty() && c.to_b.is_empty() {
+            let open = |(h, pid): K| self.hosts[h as usize].socket(cid, Pid(pid)).is_some();
+            if c.to_a.is_empty() && c.to_b.is_empty() && !open(c.a) && !open(c.b) {
                 self.conns.remove(&conn_id);
             }
         }
@@ -674,7 +666,7 @@ impl McWorld {
     /// the observables predicates read — is folded in.
     pub fn digest(&self) -> u64 {
         let mut h = HashX::default();
-        for (hc, stable) in self.hosts.iter().zip(&self.stable) {
+        for hc in &self.hosts {
             h.write_u32(hc.kernel.boot_count());
             for p in hc.kernel.processes() {
                 h.write_u32(p.pid.0);
@@ -685,9 +677,18 @@ impl McWorld {
                 h.write_u32(p.tracer.map_or(0, |t| t.0));
                 h.write_u8(p.trace_flags.bits());
             }
-            for (k, v) in stable {
+            for (k, v) in hc.stable() {
                 h.write(k.as_bytes());
                 h.write(v);
+            }
+            for (port, pid) in hc.listeners() {
+                h.write_u16(port.0);
+                h.write_u32(pid.0);
+            }
+            for (conn, pid, sock) in hc.sockets() {
+                h.write_u64(conn.0);
+                h.write_u32(pid.0);
+                h.write_u8(u8::from(sock.state == host::SockState::Established));
             }
             for (tracer, q) in hc.kernel_queue() {
                 h.write_u32(tracer.0);
@@ -709,18 +710,12 @@ impl McWorld {
             h.write_u32(*a);
             h.write_u32(*b);
         }
-        for ((host, port), pid) in &self.listeners {
-            h.write_u32(*host);
-            h.write_u16(*port);
-            h.write_u32(*pid);
-        }
         for (id, c) in &self.conns {
             h.write_u64(*id);
             h.write_u32(c.a.0);
             h.write_u32(c.a.1);
             h.write_u32(c.b.0);
             h.write_u32(c.b.1);
-            h.write_u8(u8::from(c.open));
             for q in [&c.to_a, &c.to_b] {
                 h.write_u64(q.len() as u64);
                 for item in q {
@@ -794,11 +789,7 @@ impl McWorld {
 
     // ---- internals ------------------------------------------------------
 
-    fn proc_alive(&self, k: K) -> bool {
-        host::is_alive(self, proc_key(k))
-    }
-
-    fn route_alive(&self, a: u32, b: u32) -> bool {
+    fn link_up(&self, a: u32, b: u32) -> bool {
         a == b || !self.cut_links.contains(&norm(a, b))
     }
 }
@@ -862,9 +853,7 @@ impl Policy for McWorld {
             .push_back(callback);
     }
 
-    /// Drops the dead process's pending moves, timers and listeners; FINs
-    /// its open connections (items toward it are cleared, `Closed` queues
-    /// behind in-flight data to the peer).
+    /// Drops the dead process's pending moves and timers.
     fn released(&mut self, key: ProcKey) {
         let k = mc_key(key);
         self.starts.remove(&k);
@@ -872,21 +861,104 @@ impl Policy for McWorld {
         self.inbox.remove(&k);
         self.hosts[k.0 as usize].discard_kernel_batch(key.1);
         self.timers.retain(|_, t| t.owner != k);
-        self.listeners
-            .retain(|&(h, _), &mut p| !(h == k.0 && p == k.1));
-        for c in self.conns.values_mut() {
-            if !c.open || (c.a != k && c.b != k) {
-                continue;
-            }
-            c.open = false;
-            if c.a == k {
-                c.to_a.clear();
-                c.to_b.push_back(NetItem::Closed);
-            } else {
-                c.to_b.clear();
-                c.to_a.push_back(NetItem::Closed);
-            }
+    }
+
+    /// Queues the handshake's outcome on the new connection: `Established`
+    /// toward the client and `Accepted` toward a live listener, or the
+    /// failure (a cut link, no listener) toward the client alone.
+    fn dial(
+        &mut self,
+        from: ProcKey,
+        host: HostId,
+        port: Port,
+    ) -> Result<(ConnId, Dial), SysError> {
+        if host.0 as usize >= self.host_names.len() {
+            return Err(SysError::NoSuchHost);
         }
+        let id = self.next_conn;
+        self.next_conn += 1;
+        let dst = host.0;
+        let listener = self.hosts[dst as usize].listener(port);
+        let mut conn = Conn {
+            a: mc_key(from),
+            b: (dst, listener.map_or(0, |pid| pid.0)),
+            to_a: VecDeque::new(),
+            to_b: VecDeque::new(),
+        };
+        let dial = match listener {
+            _ if !self.link_up(from.0 .0, dst) => {
+                conn.to_a.push_back(NetItem::Failed(SysError::Unreachable));
+                Dial::Doomed
+            }
+            Some(pid) => {
+                conn.to_a.push_back(NetItem::Established);
+                conn.to_b.push_back(NetItem::Accepted { peer: from, port });
+                Dial::Pending {
+                    server: Some((host, pid)),
+                }
+            }
+            None => {
+                conn.to_a
+                    .push_back(NetItem::Failed(SysError::ConnectionRefused));
+                Dial::Doomed
+            }
+        };
+        self.conns.insert(id, conn);
+        Ok((ConnId(id), dial))
+    }
+
+    /// Queues the frame toward the peer. A cut link under the connection
+    /// swallows it (TCP would buffer it): both ends close and both later
+    /// learn `Closed` — the window the stale-route-cache bug lived in.
+    fn transmit(&mut self, from: ProcKey, conn: ConnId, data: Bytes) -> Result<(), SysError> {
+        let (a, b) = (self.conns[&conn.0].a, self.conns[&conn.0].b);
+        let up = self.link_up(a.0, b.0);
+        let c = self
+            .conns
+            .get_mut(&conn.0)
+            .expect("the core checked the endpoint");
+        if up {
+            let q = if a == mc_key(from) {
+                &mut c.to_b
+            } else {
+                &mut c.to_a
+            };
+            q.push_back(NetItem::Msg(data));
+            return Ok(());
+        }
+        c.to_a.push_back(NetItem::Closed);
+        c.to_b.push_back(NetItem::Closed);
+        for (h, pid) in [a, b] {
+            self.hosts[h as usize].close_socket(conn, Pid(pid));
+        }
+        self.blackhole_sends += 1;
+        Ok(())
+    }
+
+    /// Items toward the closed end are dropped; `Closed` queues behind
+    /// the data in flight to the peer, whose end closes with it.
+    fn hang_up(&mut self, end: ProcKey, conn: ConnId, _how: Teardown) {
+        let me = mc_key(end);
+        let Some(c) = self.conns.get_mut(&conn.0) else {
+            return;
+        };
+        let peer = if c.a == me {
+            c.to_a.clear();
+            c.to_b.push_back(NetItem::Closed);
+            c.b
+        } else {
+            c.to_b.clear();
+            c.to_a.push_back(NetItem::Closed);
+            c.a
+        };
+        self.hosts[peer.0 as usize].close_socket(conn, Pid(peer.1));
+    }
+
+    /// A peer's death already closed the caller's end, so only the link
+    /// is left to check.
+    fn route_alive(&self, _end: ProcKey, conn: ConnId) -> bool {
+        let c = &self.conns[&conn.0];
+        self.link_up(c.a.0, c.b.0)
     }
 }
 
@@ -897,7 +969,6 @@ impl Runtime for McWorld {
         let id = HostId(self.hosts.len() as u32);
         self.host_names.push(name.to_string());
         self.hosts.push(HostCore::new(self.clock));
-        self.stable.push(BTreeMap::new());
         let inetd = SpawnSpec::new("inetd", Box::new(Inetd::new()));
         self.spawn_under_init(id.0, Uid::ROOT, inetd);
         id
@@ -931,7 +1002,7 @@ impl Runtime for McWorld {
     }
 
     fn stable_get(&self, host: HostId, key: &str) -> Option<Bytes> {
-        self.stable.get(host.0 as usize)?.get(key).cloned()
+        self.hosts.get(host.0 as usize)?.stable_get(key)
     }
 
     fn now(&self) -> Micros {
@@ -975,10 +1046,6 @@ impl McSys<'_> {
         self.key.0 as usize
     }
 
-    fn kernel(&self) -> &ppm_runtime::kernel::Kernel {
-        &self.w.hosts[self.host()].kernel
-    }
-
     fn do_spawn(&mut self, uid: Uid, spec: SpawnSpec) -> Result<Pid, SysError> {
         let (host, parent) = proc_key(self.key);
         let pid = host::spawn(self.w, host, parent, uid, spec)?;
@@ -1015,115 +1082,23 @@ impl TimerDriver for McSys<'_> {
 
 impl Transport for McSys<'_> {
     fn listen(&mut self, port: Port) -> Result<(), SysError> {
-        let slot = (self.key.0, port.0);
-        if let Some(&holder) = self.w.listeners.get(&slot) {
-            if holder != self.key.1 && self.w.proc_alive((self.key.0, holder)) {
-                return Err(SysError::PortInUse);
-            }
-        }
-        self.w.listeners.insert(slot, self.key.1);
-        Ok(())
+        host::listen(self.w, proc_key(self.key), port)
     }
 
     fn connect(&mut self, host: HostId, port: Port) -> Result<ConnId, SysError> {
-        if host.0 as usize >= self.w.host_names.len() {
-            return Err(SysError::NoSuchHost);
-        }
-        let id = self.w.next_conn;
-        self.w.next_conn += 1;
-        let dst = host.0;
-        let listener = self
-            .w
-            .listeners
-            .get(&(dst, port.0))
-            .copied()
-            .filter(|&pid| self.w.proc_alive((dst, pid)));
-        let reachable = self.w.route_alive(self.key.0, dst);
-        let mut conn = Conn {
-            a: self.key,
-            b: (dst, listener.unwrap_or(0)),
-            open: false,
-            to_a: VecDeque::new(),
-            to_b: VecDeque::new(),
-        };
-        if !reachable {
-            conn.to_a.push_back(NetItem::Failed(SysError::Unreachable));
-        } else if let Some(pid) = listener {
-            conn.open = true;
-            conn.b = (dst, pid);
-            conn.to_a.push_back(NetItem::Established);
-            conn.to_b.push_back(NetItem::Accepted {
-                peer: (HostId(self.key.0), Pid(self.key.1)),
-                port,
-            });
-        } else {
-            conn.to_a
-                .push_back(NetItem::Failed(SysError::ConnectionRefused));
-        }
-        self.w.conns.insert(id, conn);
-        Ok(ConnId(id))
+        host::connect(self.w, proc_key(self.key), host, port)
     }
 
     fn send_bytes(&mut self, conn: ConnId, data: Bytes) -> Result<(), SysError> {
-        let me = self.key;
-        let (peer, a_is_me) = match self.w.conns.get(&conn.0) {
-            Some(c) if c.a == me || c.b == me => {
-                if !c.open {
-                    return Err(SysError::ConnectionClosed);
-                }
-                (if c.a == me { c.b } else { c.a }, c.a == me)
-            }
-            _ => return Err(SysError::NotConnected),
-        };
-        let deliverable = self.w.route_alive(me.0, peer.0);
-        let c = self.w.conns.get_mut(&conn.0).expect("checked above");
-        if deliverable {
-            if a_is_me {
-                c.to_b.push_back(NetItem::Msg(data));
-            } else {
-                c.to_a.push_back(NetItem::Msg(data));
-            }
-            return Ok(());
-        }
-        // Link is cut under an established connection: the send is
-        // silently swallowed (TCP would buffer it); both endpoints later
-        // learn Closed. This is the window the stale-route-cache bug
-        // lived in.
-        c.open = false;
-        c.to_a.push_back(NetItem::Closed);
-        c.to_b.push_back(NetItem::Closed);
-        self.w.blackhole_sends += 1;
-        Ok(())
+        host::send(self.w, proc_key(self.key), conn, data)
     }
 
     fn conn_alive(&self, conn: ConnId) -> bool {
-        self.w.conns.get(&conn.0).is_some_and(|c| {
-            c.open
-                && self.w.proc_alive(c.a)
-                && self.w.proc_alive(c.b)
-                && self.w.route_alive(c.a.0, c.b.0)
-        })
+        host::conn_alive(&*self.w, proc_key(self.key), conn)
     }
 
     fn close(&mut self, conn: ConnId) -> Result<(), SysError> {
-        let me = self.key;
-        let Some(c) = self.w.conns.get_mut(&conn.0) else {
-            return Err(SysError::NotConnected);
-        };
-        if c.a != me && c.b != me {
-            return Err(SysError::NotConnected);
-        }
-        if c.open {
-            c.open = false;
-            if c.a == me {
-                c.to_a.clear();
-                c.to_b.push_back(NetItem::Closed);
-            } else {
-                c.to_b.clear();
-                c.to_a.push_back(NetItem::Closed);
-            }
-        }
-        Ok(())
+        host::close(self.w, proc_key(self.key), conn)
     }
 }
 
@@ -1199,8 +1174,13 @@ impl Sys for McSys<'_> {
         self.uid
     }
 
-    fn load_avg(&self) -> f64 {
-        self.kernel().load_avg()
+    fn host_core(&self) -> CoreView<&HostCore> {
+        CoreView::new(&self.w.hosts[self.host()])
+    }
+
+    fn host_core_mut(&mut self) -> CoreView<&mut HostCore> {
+        let h = self.host();
+        CoreView::new(&mut self.w.hosts[h])
     }
 
     fn resolve_host(&self, name: &str) -> Result<HostId, SysError> {
@@ -1236,28 +1216,6 @@ impl Sys for McSys<'_> {
         host::adopt(self.w, proc_key(self.key), self.uid, target, flags)
     }
 
-    fn register_kernel_socket(&mut self) -> Fd {
-        let h = self.host();
-        self.w.hosts[h].register_kernel_socket(Pid(self.key.1))
-    }
-
-    fn proc_info(&self, pid: Pid) -> Option<ProcInfo> {
-        self.w.hosts[self.host()].proc_info(pid)
-    }
-
-    fn user_processes(&self, uid: Uid) -> Vec<ProcInfo> {
-        self.w.hosts[self.host()].user_processes(uid)
-    }
-
-    fn rusage_of(&self, pid: Pid) -> Option<Rusage> {
-        self.kernel().get(pid).map(|p| p.rusage)
-    }
-
-    fn set_cpu_bound(&mut self, yes: bool) {
-        let h = self.host();
-        self.w.hosts[h].set_cpu_bound(Pid(self.key.1), yes);
-    }
-
     fn scale_cost(&mut self, nominal: SimDuration) -> SimDuration {
         nominal
     }
@@ -1270,30 +1228,11 @@ impl Sys for McSys<'_> {
         nominal
     }
 
-    fn stable_put_kv(&mut self, key: String, value: Bytes) {
-        self.w.stable[self.key.0 as usize].insert(key, value);
-    }
-
-    fn stable_get(&self, key: &str) -> Option<Bytes> {
-        self.w.stable[self.key.0 as usize].get(key).cloned()
-    }
-
-    fn stable_del(&mut self, key: &str) {
-        self.w.stable[self.key.0 as usize].remove(key);
-    }
-
     fn open_path(&mut self, path: String, mode: OpenMode) -> Fd {
         host::open_file(self.w, proc_key(self.key), path, mode)
     }
 
     fn close_fd(&mut self, fd: Fd) -> Result<(), SysError> {
-        if let Some(conn) = host::close_fd(self.w, proc_key(self.key), fd)? {
-            let _ = Transport::close(self, conn);
-        }
-        Ok(())
-    }
-
-    fn open_fds(&self, pid: Pid) -> Result<Vec<(Fd, FdKind)>, SysError> {
-        self.w.hosts[self.host()].open_fds(self.uid, pid)
+        host::close_fd(self.w, proc_key(self.key), fd)
     }
 }

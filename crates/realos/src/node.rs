@@ -6,9 +6,11 @@
 //! signals, kernel-event routing, holding callbacks for stopped
 //! processes, and the dispatch seam that contains panics — are the
 //! shared host core ([`HostCore`], `ppm_runtime::host`), the same code
-//! the simulation and the model checker run. The node adds its stream
-//! connections and listeners, stable storage, a timer heap, and its
-//! ordering policy ([`Policy`]). The loop blocks on its event queue with
+//! the simulation and the model checker run, and so are its socket rules
+//! (listeners, endpoint states, descriptors, send accounting, teardown)
+//! and its stable storage. The node adds the wire — loopback TCP streams
+//! and acceptor threads — a timer heap, and its ordering policy
+//! ([`Policy`]). The loop blocks on its event queue with
 //! `recv_timeout` against the next timer deadline, so timers fire
 //! without a dedicated timer thread.
 //!
@@ -22,7 +24,7 @@
 //! returns, on the wall clock.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
@@ -31,15 +33,14 @@ use std::time::Duration;
 
 use bytes::Bytes;
 
-use ppm_runtime::events::{KernelEvent, TraceFlags};
-use ppm_runtime::fd::{FdKind, OpenMode};
-use ppm_runtime::host::{self, Callback, HostCore, Policy};
+use ppm_runtime::events::TraceFlags;
+use ppm_runtime::fd::OpenMode;
+use ppm_runtime::host::{self, Callback, Dial, HostCore, Policy, Teardown};
 use ppm_runtime::ids::{ConnId, CpuClass, Fd, HostId, Pid, Port, Uid};
 use ppm_runtime::obs::{SharedRegistry, SpanPhase};
-use ppm_runtime::process::{ProcInfo, Rusage};
 use ppm_runtime::program::{ConnEvent, KernelMsg, ProcKey, SpawnSpec, SysError};
 use ppm_runtime::signal::{ExitStatus, Signal};
-use ppm_runtime::sys::{Clock, Spawner, TimerDriver, TimerHandle, Transport};
+use ppm_runtime::sys::{Clock, CoreView, Spawner, TimerDriver, TimerHandle, Transport};
 use ppm_runtime::time::{Micros, SimDuration};
 use ppm_runtime::trace::TraceCategory;
 
@@ -141,25 +142,6 @@ enum Deferred {
     Signal(Pid, Signal),
 }
 
-enum RConnState {
-    /// Connector thread still working; sends are queued.
-    Connecting { queued: Vec<Bytes> },
-    /// Stream live; sends write through.
-    Up { stream: TcpStream },
-    /// Closed by either side.
-    Closed,
-}
-
-struct RConn {
-    owner: Pid,
-    state: RConnState,
-}
-
-struct RListener {
-    owner: Pid,
-    alive: Arc<AtomicBool>,
-}
-
 /// The state owned by one node's event-loop thread.
 pub struct NodeCore {
     host: HostId,
@@ -169,13 +151,12 @@ pub struct NodeCore {
     cluster: Arc<ClusterShared>,
     tx: Sender<NodeEvent>,
     core: HostCore,
-    conns: HashMap<ConnId, RConn>,
-    /// Per owner, the ids of its non-`Closed` connections: exit walks
-    /// these, not every connection the node has had.
-    open: HashMap<Pid, BTreeSet<ConnId>>,
+    /// The write half of each established endpoint's TCP stream.
+    streams: HashMap<ConnId, TcpStream>,
     next_conn: u64,
-    listeners: HashMap<Port, RListener>,
-    stable: HashMap<String, Bytes>,
+    /// Each bound port's acceptor-thread flag; cleared when the core
+    /// releases the listener.
+    acceptors: HashMap<Port, Arc<AtomicBool>>,
     actions: VecDeque<Deferred>,
     timer_heap: BinaryHeap<Reverse<(u64, u64)>>,
     timer_entries: HashMap<u64, (Pid, u64)>,
@@ -201,11 +182,9 @@ impl NodeCore {
             cluster,
             tx,
             core: HostCore::new(Micros::ZERO),
-            conns: HashMap::new(),
-            open: HashMap::new(),
+            streams: HashMap::new(),
             next_conn: 1,
-            listeners: HashMap::new(),
-            stable: HashMap::new(),
+            acceptors: HashMap::new(),
             actions: VecDeque::new(),
             timer_heap: BinaryHeap::new(),
             timer_entries: HashMap::new(),
@@ -245,88 +224,44 @@ impl NodeCore {
     fn handle(&mut self, ev: NodeEvent) {
         match ev {
             NodeEvent::Incoming { conn, data } => {
-                let Some(c) = self.conns.get(&conn) else {
+                let Some(owner) = self.core.socket_owner(conn) else {
                     return;
                 };
-                if matches!(c.state, RConnState::Closed) {
-                    return;
-                }
-                let owner = c.owner;
                 self.actions
                     .push_back(Deferred::Run(owner, Callback::Message(conn, data)));
             }
             NodeEvent::ConnUp { conn, stream } => {
-                stream.set_nodelay(true).ok();
-                let Some(c) = self.conns.get_mut(&conn) else {
+                // An endpoint closed while connecting drops the stream.
+                let Some(owner) = self.core.socket_owner(conn) else {
                     return;
                 };
-                let owner = c.owner;
-                let queued = match &mut c.state {
-                    RConnState::Connecting { queued } => std::mem::take(queued),
-                    _ => return,
-                };
-                let mut writer = stream.try_clone().expect("clone stream");
+                stream.set_nodelay(true).ok();
+                let writer = stream.try_clone().expect("clone stream");
                 net::spawn_reader(conn, stream, self.tx.clone());
-                let mut broke = false;
-                for frame in &queued {
-                    if net::write_frame(&mut writer, frame).is_err() {
-                        broke = true;
-                        break;
-                    }
-                }
-                let event = if broke {
-                    self.mark_closed(conn);
-                    ConnEvent::Closed
-                } else {
-                    c.state = RConnState::Up { stream: writer };
-                    ConnEvent::Established
-                };
-                self.actions
-                    .push_back(Deferred::Run(owner, Callback::Conn(conn, event)));
+                self.streams.insert(conn, writer);
+                host::established(self, (self.host, owner), conn);
             }
             NodeEvent::ConnFail { conn, error } => {
-                let Some(c) = self.conns.get(&conn) else {
-                    return;
-                };
-                let owner = c.owner;
-                self.mark_closed(conn);
-                let event = ConnEvent::Failed(error);
-                self.actions
-                    .push_back(Deferred::Run(owner, Callback::Conn(conn, event)));
+                if let Some(owner) = self.core.socket_owner(conn) {
+                    host::conn_failed(self, (self.host, owner), conn, error);
+                }
             }
             NodeEvent::PeerClosed { conn } => {
-                let Some(c) = self.conns.get(&conn) else {
-                    return;
-                };
-                if matches!(c.state, RConnState::Closed) {
-                    return;
+                if let Some(owner) = self.core.socket_owner(conn) {
+                    self.streams.remove(&conn);
+                    host::peer_closed(self, (self.host, owner), conn);
                 }
-                let owner = c.owner;
-                self.mark_closed(conn);
-                let event = ConnEvent::Closed;
-                self.actions
-                    .push_back(Deferred::Run(owner, Callback::Conn(conn, event)));
             }
             NodeEvent::AcceptedConn { port, peer, stream } => {
-                let Some(l) = self.listeners.get(&port) else {
+                let Some(owner) = self.core.listener(port).filter(|&o| self.is_alive(o)) else {
                     let _ = stream.shutdown(Shutdown::Both);
                     return;
                 };
-                let owner = l.owner;
-                if !self.is_alive(owner) {
-                    let _ = stream.shutdown(Shutdown::Both);
-                    return;
-                }
                 let conn = self.alloc_conn();
                 let writer = stream.try_clone().expect("clone stream");
                 net::spawn_reader(conn, stream, self.tx.clone());
-                self.open_conn(conn, owner, RConnState::Up { stream: writer });
-                if let Ok(p) = self.core.kernel.live_mut(owner) {
-                    p.fds.alloc(FdKind::Socket { conn });
-                }
-                let event = ConnEvent::Accepted { peer, port };
-                self.actions
-                    .push_back(Deferred::Run(owner, Callback::Conn(conn, event)));
+                self.streams.insert(conn, writer);
+                host::accepted(self, (self.host, owner), conn, peer, port);
             }
             NodeEvent::SpawnUser { uid, spec, reply } => {
                 let _ = reply.send(self.spawn_proc(Pid::INIT, uid, spec));
@@ -356,7 +291,7 @@ impl NodeCore {
                 let _ = reply.send(found);
             }
             NodeEvent::StableGet { key, reply } => {
-                let _ = reply.send(self.stable.get(&key).cloned());
+                let _ = reply.send(self.core.stable_get(&key));
             }
             NodeEvent::Shutdown => unreachable!("handled by the loop"),
         }
@@ -428,25 +363,6 @@ impl NodeCore {
 
     // ---- helpers ---------------------------------------------------------
 
-    fn open_conn(&mut self, conn: ConnId, owner: Pid, state: RConnState) {
-        self.conns.insert(conn, RConn { owner, state });
-        self.open.entry(owner).or_default().insert(conn);
-    }
-
-    /// Marks a connection `Closed` (dropping its writer) and takes it out
-    /// of its owner's open set. Returns the state it left.
-    fn mark_closed(&mut self, conn: ConnId) -> Option<RConnState> {
-        let c = self.conns.get_mut(&conn)?;
-        let was = std::mem::replace(&mut c.state, RConnState::Closed);
-        if let Some(open) = self.open.get_mut(&c.owner) {
-            open.remove(&conn);
-            if open.is_empty() {
-                self.open.remove(&c.owner);
-            }
-        }
-        Some(was)
-    }
-
     fn alloc_conn(&mut self) -> ConnId {
         // Upper bits carry the host so conn ids never collide across the
         // cluster in traces.
@@ -463,16 +379,12 @@ impl NodeCore {
     }
 
     fn teardown(&mut self) {
-        for l in self.listeners.values() {
-            l.alive.store(false, Ordering::SeqCst);
+        for alive in self.acceptors.values() {
+            alive.store(false, Ordering::SeqCst);
         }
-        for c in self.conns.values_mut() {
-            if let RConnState::Up { stream } = &c.state {
-                let _ = stream.shutdown(Shutdown::Both);
-            }
-            c.state = RConnState::Closed;
+        for (_, stream) in self.streams.drain() {
+            let _ = stream.shutdown(Shutdown::Both);
         }
-        self.open.clear();
         let mut ports = self.cluster.ports.lock().unwrap();
         ports.retain(|&(host, _), _| host != self.host);
     }
@@ -531,21 +443,22 @@ impl Policy for NodeCore {
         self.actions.push_back(Deferred::Run(key.1, callback));
     }
 
-    /// Unpublishes the process's listeners (connects are refused until a
-    /// respawn re-binds the logical port), shuts its connections down
-    /// (the peer's reader sees EOF and reports Closed there), and drops
-    /// its timers and undelivered kernel batch.
+    /// Unpublishes the ports whose listeners the core released
+    /// (connects are refused until a respawn re-binds the logical port)
+    /// and drops the process's timers and undelivered kernel batch. Its
+    /// streams were already shut down by the core's teardown.
     fn released(&mut self, key: ProcKey) {
         let pid = key.1;
-        let dead_ports: Vec<Port> = self
-            .listeners
-            .iter()
-            .filter(|(_, l)| l.owner == pid)
-            .map(|(&port, _)| port)
+        let core = &self.core;
+        let dead: Vec<Port> = self
+            .acceptors
+            .keys()
+            .copied()
+            .filter(|&port| core.listener(port).is_none())
             .collect();
-        for port in dead_ports {
-            if let Some(l) = self.listeners.remove(&port) {
-                l.alive.store(false, Ordering::SeqCst);
+        for port in dead {
+            if let Some(alive) = self.acceptors.remove(&port) {
+                alive.store(false, Ordering::SeqCst);
             }
             self.cluster
                 .ports
@@ -553,13 +466,86 @@ impl Policy for NodeCore {
                 .unwrap()
                 .remove(&(self.host, port));
         }
-        for conn in self.open.remove(&pid).unwrap_or_default() {
-            if let Some(RConnState::Up { stream }) = self.mark_closed(conn) {
-                let _ = stream.shutdown(Shutdown::Both);
-            }
-        }
         self.timer_entries.retain(|_, (owner, _)| *owner != pid);
         self.core.discard_kernel_batch(pid);
+    }
+
+    /// Binds `127.0.0.1:0`, publishes the real port under the logical one
+    /// and starts its acceptor thread.
+    fn listen_wire(&mut self, key: ProcKey, port: Port) -> Result<(), SysError> {
+        let listener =
+            TcpListener::bind(("127.0.0.1", 0)).map_err(|_| SysError::InvalidArgument)?;
+        let real = listener
+            .local_addr()
+            .map_err(|_| SysError::InvalidArgument)?
+            .port();
+        let alive = Arc::new(AtomicBool::new(true));
+        self.cluster
+            .ports
+            .lock()
+            .unwrap()
+            .insert((self.host, port), real);
+        self.acceptors.insert(port, Arc::clone(&alive));
+        net::spawn_acceptor(
+            listener,
+            port,
+            alive,
+            Arc::clone(&self.cluster.shutdown),
+            self.tx.clone(),
+        );
+        self.log(
+            TraceCategory::Net,
+            format!("pid {} binds {port} to tcp {real}", key.1),
+        );
+        Ok(())
+    }
+
+    /// Starts a connector thread; its `ConnUp` or `ConnFail` reports the
+    /// outcome.
+    fn dial(
+        &mut self,
+        from: ProcKey,
+        host: HostId,
+        port: Port,
+    ) -> Result<(ConnId, Dial), SysError> {
+        let known = self.cluster.hosts.read().unwrap().len() as u32;
+        if host.0 >= known {
+            return Err(SysError::NoSuchHost);
+        }
+        let conn = self.alloc_conn();
+        net::spawn_connector(
+            conn,
+            from,
+            (host, port),
+            Arc::clone(&self.cluster.ports),
+            self.tx.clone(),
+        );
+        Ok((conn, Dial::Pending { server: None }))
+    }
+
+    /// Writes one frame. A failed write closes the endpoint at once and
+    /// the owner hears `Closed` after the current callback.
+    fn transmit(&mut self, from: ProcKey, conn: ConnId, data: Bytes) -> Result<(), SysError> {
+        let written = self
+            .streams
+            .get_mut(&conn)
+            .is_some_and(|stream| net::write_frame(stream, &data).is_ok());
+        if written {
+            return Ok(());
+        }
+        self.streams.remove(&conn);
+        self.core.close_socket(conn, from.1);
+        let callback = Callback::Conn(conn, ConnEvent::Closed);
+        self.actions.push_back(Deferred::Run(from.1, callback));
+        Err(SysError::ConnectionClosed)
+    }
+
+    /// Shuts the stream down; the peer's reader sees EOF, in order after
+    /// every frame already written, and reports `Closed` there.
+    fn hang_up(&mut self, _end: ProcKey, conn: ConnId, _how: Teardown) {
+        if let Some(stream) = self.streams.remove(&conn) {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
     }
 }
 
@@ -598,124 +584,23 @@ impl TimerDriver for RealSys<'_> {
 
 impl Transport for RealSys<'_> {
     fn listen(&mut self, port: Port) -> Result<(), SysError> {
-        if self.node.listeners.contains_key(&port) {
-            return Err(SysError::PortInUse);
-        }
-        let listener =
-            TcpListener::bind(("127.0.0.1", 0)).map_err(|_| SysError::InvalidArgument)?;
-        let real = listener
-            .local_addr()
-            .map_err(|_| SysError::InvalidArgument)?
-            .port();
-        let alive = Arc::new(AtomicBool::new(true));
-        self.node
-            .cluster
-            .ports
-            .lock()
-            .unwrap()
-            .insert((self.node.host, port), real);
-        self.node.listeners.insert(
-            port,
-            RListener {
-                owner: self.pid,
-                alive: Arc::clone(&alive),
-            },
-        );
-        net::spawn_acceptor(
-            listener,
-            port,
-            alive,
-            Arc::clone(&self.node.cluster.shutdown),
-            self.node.tx.clone(),
-        );
-        if let Ok(p) = self.node.core.kernel.live_mut(self.pid) {
-            p.fds.alloc(FdKind::Listener { port });
-        }
-        self.node.log(
-            TraceCategory::Net,
-            format!("pid {} listening on {port} (tcp {real})", self.pid),
-        );
-        Ok(())
+        host::listen(self.node, (self.node.host, self.pid), port)
     }
 
     fn connect(&mut self, host: HostId, port: Port) -> Result<ConnId, SysError> {
-        let known = self.node.cluster.hosts.read().unwrap().len() as u32;
-        if host.0 >= known {
-            return Err(SysError::NoSuchHost);
-        }
-        let conn = self.node.alloc_conn();
-        let connecting = RConnState::Connecting { queued: Vec::new() };
-        self.node.open_conn(conn, self.pid, connecting);
-        if let Ok(p) = self.node.core.kernel.live_mut(self.pid) {
-            p.fds.alloc(FdKind::Socket { conn });
-        }
-        net::spawn_connector(
-            conn,
-            (self.node.host, self.pid),
-            (host, port),
-            Arc::clone(&self.node.cluster.ports),
-            self.node.tx.clone(),
-        );
-        Ok(conn)
+        host::connect(self.node, (self.node.host, self.pid), host, port)
     }
 
     fn send_bytes(&mut self, conn: ConnId, data: Bytes) -> Result<(), SysError> {
-        let c = self
-            .node
-            .conns
-            .get_mut(&conn)
-            .ok_or(SysError::NotConnected)?;
-        if c.owner != self.pid {
-            return Err(SysError::NotConnected);
-        }
-        let len = data.len();
-        let mut closed_now = false;
-        match &mut c.state {
-            RConnState::Connecting { queued } => queued.push(data),
-            RConnState::Up { stream } => {
-                if net::write_frame(stream, &data).is_err() {
-                    closed_now = true;
-                }
-            }
-            RConnState::Closed => return Err(SysError::ConnectionClosed),
-        }
-        if closed_now {
-            self.node.mark_closed(conn);
-            let callback = Callback::Conn(conn, ConnEvent::Closed);
-            self.node
-                .actions
-                .push_back(Deferred::Run(self.pid, callback));
-            return Err(SysError::ConnectionClosed);
-        }
-        if let Ok(p) = self.node.core.kernel.live_mut(self.pid) {
-            p.rusage.msgs_sent += 1;
-            p.rusage.bytes_sent += len as u64;
-        }
-        host::emit(
-            self.node,
-            self.node.host,
-            KernelEvent::MsgSent {
-                pid: self.pid,
-                bytes: len,
-            },
-        );
-        Ok(())
+        host::send(self.node, (self.node.host, self.pid), conn, data)
+    }
+
+    fn conn_alive(&self, conn: ConnId) -> bool {
+        host::conn_alive(&*self.node, (self.node.host, self.pid), conn)
     }
 
     fn close(&mut self, conn: ConnId) -> Result<(), SysError> {
-        let c = self.node.conns.get(&conn).ok_or(SysError::NotConnected)?;
-        if c.owner != self.pid {
-            return Err(SysError::NotConnected);
-        }
-        if let Some(RConnState::Up { stream }) = self.node.mark_closed(conn) {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-        if let Ok(p) = self.node.core.kernel.live_mut(self.pid) {
-            if let Some(fd) = p.fds.fd_for_conn(conn) {
-                p.fds.release(fd);
-            }
-        }
-        Ok(())
+        host::close(self.node, (self.node.host, self.pid), conn)
     }
 }
 
@@ -792,8 +677,12 @@ impl ppm_runtime::sys::Sys for RealSys<'_> {
         self.uid
     }
 
-    fn load_avg(&self) -> f64 {
-        self.node.core.kernel.load_avg()
+    fn host_core(&self) -> CoreView<&HostCore> {
+        CoreView::new(&self.node.core)
+    }
+
+    fn host_core_mut(&mut self) -> CoreView<&mut HostCore> {
+        CoreView::new(&mut self.node.core)
     }
 
     fn resolve_host(&self, name: &str) -> Result<HostId, SysError> {
@@ -847,26 +736,6 @@ impl ppm_runtime::sys::Sys for RealSys<'_> {
         )
     }
 
-    fn register_kernel_socket(&mut self) -> Fd {
-        self.node.core.register_kernel_socket(self.pid)
-    }
-
-    fn proc_info(&self, pid: Pid) -> Option<ProcInfo> {
-        self.node.core.proc_info(pid)
-    }
-
-    fn user_processes(&self, uid: Uid) -> Vec<ProcInfo> {
-        self.node.core.user_processes(uid)
-    }
-
-    fn rusage_of(&self, pid: Pid) -> Option<Rusage> {
-        self.node.core.kernel.get(pid).map(|p| p.rusage)
-    }
-
-    fn set_cpu_bound(&mut self, yes: bool) {
-        self.node.core.set_cpu_bound(self.pid, yes);
-    }
-
     fn scale_cost(&mut self, nominal: SimDuration) -> SimDuration {
         // Real work already takes real time; the nominal cost passes
         // through for protocol-level bookkeeping only.
@@ -880,30 +749,11 @@ impl ppm_runtime::sys::Sys for RealSys<'_> {
         nominal
     }
 
-    fn stable_put_kv(&mut self, key: String, value: Bytes) {
-        self.node.stable.insert(key, value);
-    }
-
-    fn stable_get(&self, key: &str) -> Option<Bytes> {
-        self.node.stable.get(key).cloned()
-    }
-
-    fn stable_del(&mut self, key: &str) {
-        self.node.stable.remove(key);
-    }
-
     fn open_path(&mut self, path: String, mode: OpenMode) -> Fd {
         host::open_file(self.node, (self.node.host, self.pid), path, mode)
     }
 
     fn close_fd(&mut self, fd: Fd) -> Result<(), SysError> {
-        if let Some(conn) = host::close_fd(self.node, (self.node.host, self.pid), fd)? {
-            let _ = Transport::close(self, conn);
-        }
-        Ok(())
-    }
-
-    fn open_fds(&self, pid: Pid) -> Result<Vec<(Fd, FdKind)>, SysError> {
-        self.node.core.open_fds(self.uid, pid)
+        host::close_fd(self.node, (self.node.host, self.pid), fd)
     }
 }

@@ -101,14 +101,6 @@ impl FdTable {
         self.entries.get(&fd)
     }
 
-    /// Finds the descriptor referring to a connection, if any.
-    pub fn fd_for_conn(&self, conn: ConnId) -> Option<Fd> {
-        self.entries
-            .iter()
-            .find(|(_, k)| matches!(k, FdKind::Socket { conn: c } if *c == conn))
-            .map(|(fd, _)| *fd)
-    }
-
     /// All entries in descriptor order.
     pub fn iter(&self) -> impl Iterator<Item = (Fd, &FdKind)> {
         self.entries.iter().map(|(fd, k)| (*fd, k))
@@ -159,18 +151,6 @@ mod tests {
         t.release(a);
         let b = t.alloc(FdKind::KernelSocket);
         assert_ne!(a, b, "descriptor ids are never recycled in the sim");
-    }
-
-    #[test]
-    fn fd_for_conn_finds_the_socket() {
-        let mut t = FdTable::new();
-        t.alloc(FdKind::File {
-            path: "/tmp/a".into(),
-            mode: OpenMode::Write,
-        });
-        let s = t.alloc(FdKind::Socket { conn: ConnId(7) });
-        assert_eq!(t.fd_for_conn(ConnId(7)), Some(s));
-        assert_eq!(t.fd_for_conn(ConnId(8)), None);
     }
 
     #[test]

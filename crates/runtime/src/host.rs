@@ -19,22 +19,28 @@
 //!   filter, batch start;
 //! * [`dispatch`], the one take-run-reinsert seam every [`Program`]
 //!   callback passes through. A panic inside a callback is contained
-//!   there and becomes the death of that process by SIGKILL.
+//!   there and becomes the death of that process by SIGKILL;
+//! * the socket layer ([`socket`]): listeners, endpoint states, socket
+//!   descriptors, send accounting and teardown on close, exit and crash;
+//! * the host's stable storage, which survives exits and crashes.
 //!
-//! What differs between backends is only *when* things happen: the
+//! What differs between backends is only *when* things happen — the
 //! virtual-time engine, the explorer's choice, or a deferred-action queue
-//! on the wall clock. Each backend says so by implementing [`Policy`];
+//! on the wall clock — and how bytes cross the wire. Each backend says so
+//! by implementing [`Policy`];
 //! the functions here are generic over it, so every call is statically
 //! dispatched.
 
-use std::collections::BTreeMap;
+pub mod socket;
+
+use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{self, AssertUnwindSafe};
 
 use bytes::Bytes;
 
 use crate::events::{KernelEvent, TraceFlags};
 use crate::fd::{FdKind, OpenMode};
-use crate::ids::{ConnId, Fd, HostId, Pid, Uid};
+use crate::ids::{ConnId, Fd, HostId, Pid, Port, Uid};
 use crate::kernel::Kernel;
 use crate::process::{ProcInfo, ProcState, Process};
 use crate::program::{ConnEvent, KernelMsg, ProcKey, Program, SigAction, SpawnSpec, SysError};
@@ -42,6 +48,11 @@ use crate::signal::{ExitStatus, Signal};
 use crate::sys::Sys;
 use crate::time::Micros;
 use crate::trace::TraceCategory;
+
+pub use socket::{
+    accepted, close, conn_alive, conn_failed, connect, crash, established, listen, peer_closed,
+    send, Dial, SockState, Socket, Teardown,
+};
 
 /// One [`Program`] callback, as a value a backend can queue and the core
 /// can hold.
@@ -100,6 +111,18 @@ pub struct HostCore {
     kernel_queue: BTreeMap<Pid, Vec<KernelMsg>>,
     /// Running services by name.
     services: BTreeMap<String, Pid>,
+    /// The listener table: which process accepts on each port.
+    listeners: BTreeMap<Port, Pid>,
+    /// The open endpoints, by (connection, owner): the host's index of
+    /// open sockets.
+    sockets: BTreeMap<(ConnId, Pid), Socket>,
+    /// Endpoints of live processes that have closed, by (owner,
+    /// connection); an owner's entries go when it exits.
+    closed_sockets: BTreeSet<(Pid, ConnId)>,
+    /// The simulated disk: survives process exits and host crashes.
+    stable: BTreeMap<String, Bytes>,
+    /// The services that were running at the last crash, name-sorted.
+    crashed_services: Vec<String>,
 }
 
 impl HostCore {
@@ -111,6 +134,11 @@ impl HostCore {
             held: BTreeMap::new(),
             kernel_queue: BTreeMap::new(),
             services: BTreeMap::new(),
+            listeners: BTreeMap::new(),
+            sockets: BTreeMap::new(),
+            closed_sockets: BTreeSet::new(),
+            stable: BTreeMap::new(),
+            crashed_services: Vec::new(),
         }
     }
 
@@ -174,6 +202,12 @@ impl HostCore {
         self.services.keys().cloned().collect()
     }
 
+    /// Takes the services that were running at the last crash (a restart
+    /// re-runs them, the way init re-runs /etc/rc after a power failure).
+    pub fn take_crashed_services(&mut self) -> Vec<String> {
+        std::mem::take(&mut self.crashed_services)
+    }
+
     /// `ps`-style info about one process (any state).
     pub fn proc_info(&self, pid: Pid) -> Option<ProcInfo> {
         self.kernel.get(pid).map(ProcInfo::from)
@@ -204,19 +238,32 @@ impl HostCore {
         p.fds.alloc(FdKind::KernelSocket)
     }
 
+    /// Stable storage: writes a record. Survives process exits and host
+    /// crashes.
+    pub fn stable_put(&mut self, key: String, value: Bytes) {
+        self.stable.insert(key, value);
+    }
+
+    /// Stable storage: reads a record.
+    pub fn stable_get(&self, key: &str) -> Option<Bytes> {
+        self.stable.get(key).cloned()
+    }
+
+    /// Stable storage: deletes a record.
+    pub fn stable_del(&mut self, key: &str) {
+        self.stable.remove(key);
+    }
+
+    /// Stable storage, in key order.
+    pub fn stable(&self) -> impl Iterator<Item = (&str, &Bytes)> {
+        self.stable.iter().map(|(k, v)| (k.as_str(), v))
+    }
+
     /// Marks a live process CPU-bound, or not.
     pub fn set_cpu_bound(&mut self, pid: Pid, yes: bool) {
         if let Ok(p) = self.kernel.live_mut(pid) {
             p.cpu_bound = yes;
         }
-    }
-
-    /// A host crash: every program, held callback and service goes; the
-    /// process table stays until the reboot wipes it.
-    pub fn crash(&mut self) {
-        self.programs.clear();
-        self.held.clear();
-        self.services.clear();
     }
 }
 
@@ -276,9 +323,49 @@ pub trait Policy {
         self.resume(key, callback);
     }
 
-    /// The process exited: drop the backend state it owned (listeners,
-    /// connections, timers).
-    fn released(&mut self, key: ProcKey);
+    /// The process exited and its sockets are torn down: drop the
+    /// backend state it still owned (timers, pending moves).
+    fn released(&mut self, key: ProcKey) {
+        let _ = key;
+    }
+
+    // ---- the wire (see [`socket`]) --------------------------------------
+
+    /// Binds the backend side of a listener the core admitted.
+    ///
+    /// # Errors
+    ///
+    /// A bind failure; the core then records no listener.
+    fn listen_wire(&mut self, key: ProcKey, port: Port) -> Result<(), SysError> {
+        let _ = (key, port);
+        Ok(())
+    }
+
+    /// Starts a connection attempt: its id and whether it is in flight.
+    ///
+    /// # Errors
+    ///
+    /// [`SysError::NoSuchHost`] for an invalid host id.
+    fn dial(&mut self, from: ProcKey, host: HostId, port: Port)
+        -> Result<(ConnId, Dial), SysError>;
+
+    /// Puts `data` on the wire from an established endpoint.
+    ///
+    /// # Errors
+    ///
+    /// A local write failure ([`SysError::ConnectionClosed`]).
+    fn transmit(&mut self, from: ProcKey, conn: ConnId, data: Bytes) -> Result<(), SysError>;
+
+    /// `end`'s endpoint has just closed: tell the peer, behind the data
+    /// already in flight toward it.
+    fn hang_up(&mut self, end: ProcKey, conn: ConnId, how: Teardown);
+
+    /// Whether the route from `end` to its peer is up right now; backends
+    /// without that view answer `true` and rely on send errors.
+    fn route_alive(&self, end: ProcKey, conn: ConnId) -> bool {
+        let _ = (end, conn);
+        true
+    }
 }
 
 /// Whether the process exists, is alive, and its host is up.
@@ -388,8 +475,8 @@ pub fn start<P: Policy>(w: &mut P, key: ProcKey) {
 }
 
 /// Terminates a process: exit bookkeeping, the `Exit` event, its
-/// services, program and held callbacks, the backend state it owned,
-/// and the parent's notification.
+/// services, program and held callbacks, its listeners and sockets, the
+/// backend state it owned, and the parent's notification.
 pub fn exit<P: Policy>(w: &mut P, key: ProcKey, status: ExitStatus) {
     if !is_alive(w, key) {
         return;
@@ -415,6 +502,7 @@ pub fn exit<P: Policy>(w: &mut P, key: ProcKey, status: ExitStatus) {
             rusage,
         },
     );
+    socket::release(w, key);
     w.released(key);
     if ppid != pid && is_alive(w, (host, ppid)) {
         w.child_exited((host, ppid), pid, status);
@@ -466,24 +554,24 @@ pub fn open_file<P: Policy>(w: &mut P, key: ProcKey, path: String, mode: OpenMod
     fd
 }
 
-/// The `close` syscall: a file reports `FileClosed`; a socket's
-/// connection comes back for the backend to close.
+/// The `close` syscall on a descriptor: a file reports `FileClosed`; a
+/// socket closes its endpoint as [`socket::close`] does.
 ///
 /// # Errors
 ///
 /// [`SysError::BadFileDescriptor`].
-pub fn close_fd<P: Policy>(w: &mut P, key: ProcKey, fd: Fd) -> Result<Option<ConnId>, SysError> {
+pub fn close_fd<P: Policy>(w: &mut P, key: ProcKey, fd: Fd) -> Result<(), SysError> {
     let (host, pid) = key;
     let p = w.host_mut(host).kernel.live_mut(pid);
     match p.map_err(|_| SysError::BadFileDescriptor)?.fds.release(fd) {
-        Some(FdKind::File { path, .. }) => {
-            emit(w, host, KernelEvent::FileClosed { pid, path });
-            Ok(None)
+        Some(FdKind::File { path, .. }) => emit(w, host, KernelEvent::FileClosed { pid, path }),
+        Some(FdKind::Socket { conn }) => {
+            let _ = socket::close(w, key, conn);
         }
-        Some(FdKind::Socket { conn }) => Ok(Some(conn)),
-        Some(_) => Ok(None),
-        None => Err(SysError::BadFileDescriptor),
+        Some(_) => {}
+        None => return Err(SysError::BadFileDescriptor),
     }
+    Ok(())
 }
 
 /// Delivers the events queued toward `tracer` as one batch frame.

@@ -5,12 +5,14 @@
 //! system calls — spawn/exit/kill/adopt, stream sockets, timers, files,
 //! CPU accounting — plus read-only introspection (`ps`-style queries).
 //!
-//! Two backends implement it:
+//! Three backends implement it:
 //!
 //! * the **simulated** kernel (`ppm-simos`), where time is discrete-event
-//!   ticks and the network is the modelled topology; and
+//!   ticks and the network is the modelled topology;
 //! * the **real** node runtime (`ppm-realos`), where time is the machine's
-//!   monotonic clock and connections are loopback TCP sockets.
+//!   monotonic clock and connections are loopback TCP sockets; and
+//! * the **model checker** (`ppm-mc`), where the explorer picks what
+//!   happens next.
 //!
 //! Protocol code (`ppm-core`, the tools) is written against this trait
 //! only, so the same LPM/pmd/RPC stack drives both worlds. The trait is
@@ -30,6 +32,7 @@ use bytes::Bytes;
 
 use crate::events::TraceFlags;
 use crate::fd::{FdKind, OpenMode};
+use crate::host::HostCore;
 use crate::ids::{ConnId, CpuClass, Fd, HostId, Pid, Port, Uid};
 use crate::obs::{SharedRegistry, SpanPhase};
 use crate::process::{ProcInfo, Rusage};
@@ -42,6 +45,17 @@ use crate::trace::TraceCategory;
 /// crashed (8-byte big-endian microseconds). Written by the crash path,
 /// read by pmd's recovery path to compute time-to-repair.
 pub const CRASHED_AT_KEY: &str = "os.crashed_at";
+
+/// The calling process's host core (`&HostCore` or `&mut HostCore`) as
+/// the provided [`Sys`] calls see it; programs cannot look inside.
+pub struct CoreView<C>(C);
+
+impl<C> CoreView<C> {
+    /// Wraps a backend's host core.
+    pub fn new(core: C) -> Self {
+        CoreView(core)
+    }
+}
 
 /// Handle to a pending timer, usable to cancel it.
 ///
@@ -68,16 +82,24 @@ pub trait TimerDriver: Clock {
 }
 
 /// Reliable ordered stream connections between processes.
+///
+/// Every backend implements these calls with the host core's socket
+/// layer (`crate::host::socket`), so the rules are the same everywhere:
+/// a listener and each open endpoint hold a descriptor for exactly as
+/// long as they exist, and a send is accepted only on an `Established`
+/// endpoint.
 pub trait Transport {
-    /// Binds a listener on `port`.
+    /// Binds a listener on `port`, allocating a `Listener` descriptor.
     ///
     /// # Errors
     ///
-    /// [`SysError::PortInUse`].
+    /// [`SysError::PortInUse`] while any live process (the caller
+    /// included) holds the port.
     fn listen(&mut self, port: Port) -> Result<(), SysError>;
 
     /// Starts a connection to `host:port`. The outcome arrives later as a
-    /// [`crate::program::ConnEvent`].
+    /// [`crate::program::ConnEvent`]. The endpoint is `Connecting` until
+    /// `Established` arrives.
     ///
     /// # Errors
     ///
@@ -89,15 +111,18 @@ pub trait Transport {
     ///
     /// # Errors
     ///
-    /// [`SysError::NotConnected`] or [`SysError::ConnectionClosed`].
+    /// [`SysError::NotConnected`] on every backend for an endpoint still
+    /// `Connecting` (before its `Established` event) or one the caller
+    /// does not own; [`SysError::ConnectionClosed`] once it has closed.
     fn send_bytes(&mut self, conn: ConnId, data: Bytes) -> Result<(), SysError>;
 
     /// Whether a connection is believed deliverable right now: the
-    /// endpoints are up and the link between them is routable. Programs
-    /// use this to validate cached next-hops before committing a send to
-    /// them — a connection can look established while a fresh link cut
-    /// has not yet produced its closed notification. Backends without
-    /// that visibility (real TCP) report `true` and rely on send errors.
+    /// caller's endpoint is established, the peer is up and the link
+    /// between them is routable. Programs use this to validate cached
+    /// next-hops before committing a send to them — a connection can look
+    /// established while a fresh link cut has not yet produced its closed
+    /// notification. Backends without the route view (real TCP) answer for
+    /// the endpoint alone and rely on send errors.
     fn conn_alive(&self, conn: ConnId) -> bool {
         let _ = conn;
         true
@@ -121,7 +146,9 @@ pub trait Transport {
         true
     }
 
-    /// Closes a connection.
+    /// Closes a connection: the endpoint and its descriptor go, and the
+    /// peer hears `Closed` after the data already sent to it. Closing an
+    /// already closed endpoint is a no-op.
     ///
     /// # Errors
     ///
@@ -186,8 +213,17 @@ pub trait Sys: Clock + TimerDriver + Transport + Spawner {
     /// The calling process's uid.
     fn uid(&self) -> Uid;
 
+    /// The calling process's host core: the process table, sockets and
+    /// stable storage the provided calls below answer from.
+    fn host_core(&self) -> CoreView<&HostCore>;
+
+    /// The calling process's host core, mutably.
+    fn host_core_mut(&mut self) -> CoreView<&mut HostCore>;
+
     /// The host's current load average (`uptime`).
-    fn load_avg(&self) -> f64;
+    fn load_avg(&self) -> f64 {
+        self.host_core().0.kernel.load_avg()
+    }
 
     /// Resolves a host name to an id (the name service).
     ///
@@ -244,20 +280,32 @@ pub trait Sys: Clock + TimerDriver + Transport + Spawner {
 
     /// Allocates the kernel socket descriptor (LPMs call this once; see
     /// Figure 4 of the paper).
-    fn register_kernel_socket(&mut self) -> Fd;
+    fn register_kernel_socket(&mut self) -> Fd {
+        let pid = self.pid();
+        self.host_core_mut().0.register_kernel_socket(pid)
+    }
 
     /// `ps`-style info about one process on this host (any state).
-    fn proc_info(&self, pid: Pid) -> Option<ProcInfo>;
+    fn proc_info(&self, pid: Pid) -> Option<ProcInfo> {
+        self.host_core().0.proc_info(pid)
+    }
 
     /// Live processes of `uid` on this host, in pid order.
-    fn user_processes(&self, uid: Uid) -> Vec<ProcInfo>;
+    fn user_processes(&self, uid: Uid) -> Vec<ProcInfo> {
+        self.host_core().0.user_processes(uid)
+    }
 
     /// Resource usage of a process on this host (live or recently exited).
-    fn rusage_of(&self, pid: Pid) -> Option<Rusage>;
+    fn rusage_of(&self, pid: Pid) -> Option<Rusage> {
+        self.host_core().0.kernel.get(pid).map(|p| p.rusage)
+    }
 
     /// Marks the caller CPU-bound (contributes to the run queue while
     /// running), or not.
-    fn set_cpu_bound(&mut self, yes: bool);
+    fn set_cpu_bound(&mut self, yes: bool) {
+        let pid = self.pid();
+        self.host_core_mut().0.set_cpu_bound(pid, yes);
+    }
 
     /// Scales a nominal (idle reference machine) CPU cost to this host's
     /// class and current load, with jitter — without consuming it. Used by
@@ -279,13 +327,19 @@ pub trait Sys: Clock + TimerDriver + Transport + Spawner {
     /// state ("could be stored in secondary (even stable) storage so as
     /// to survive the daemon's possible failure modes"). (Prefer the
     /// inherent `stable_put` convenience.)
-    fn stable_put_kv(&mut self, key: String, value: Bytes);
+    fn stable_put_kv(&mut self, key: String, value: Bytes) {
+        self.host_core_mut().0.stable_put(key, value);
+    }
 
     /// Reads a record from the host's stable storage.
-    fn stable_get(&self, key: &str) -> Option<Bytes>;
+    fn stable_get(&self, key: &str) -> Option<Bytes> {
+        self.host_core().0.stable_get(key)
+    }
 
     /// Deletes a record from the host's stable storage.
-    fn stable_del(&mut self, key: &str);
+    fn stable_del(&mut self, key: &str) {
+        self.host_core_mut().0.stable_del(key);
+    }
 
     // ---- files -----------------------------------------------------------
 
@@ -306,7 +360,9 @@ pub trait Sys: Clock + TimerDriver + Transport + Spawner {
     /// # Errors
     ///
     /// [`SysError::NoSuchProcess`] or [`SysError::PermissionDenied`].
-    fn open_fds(&self, pid: Pid) -> Result<Vec<(Fd, FdKind)>, SysError>;
+    fn open_fds(&self, pid: Pid) -> Result<Vec<(Fd, FdKind)>, SysError> {
+        self.host_core().0.open_fds(self.uid(), pid)
+    }
 }
 
 /// Ergonomic generic wrappers over the monomorphic trait methods, as
@@ -355,11 +411,10 @@ mod tests {
     fn sys_is_object_safe_and_conveniences_resolve() {
         // A minimal in-memory backend: enough to prove `dyn Sys` works
         // and the inherent conveniences dispatch through it.
-        #[derive(Default)]
         struct Mini {
+            core: HostCore,
             traces: Vec<(TraceCategory, String)>,
             sent: Vec<(ConnId, Bytes)>,
-            stable: Vec<(String, Bytes)>,
             timers: u64,
         }
         impl Clock for Mini {
@@ -422,8 +477,11 @@ mod tests {
             fn uid(&self) -> Uid {
                 Uid(7)
             }
-            fn load_avg(&self) -> f64 {
-                0.0
+            fn host_core(&self) -> CoreView<&HostCore> {
+                CoreView::new(&self.core)
+            }
+            fn host_core_mut(&mut self) -> CoreView<&mut HostCore> {
+                CoreView::new(&mut self.core)
             }
             fn resolve_host(&self, name: &str) -> Result<HostId, SysError> {
                 if name == "mini" {
@@ -449,37 +507,11 @@ mod tests {
             fn adopt(&mut self, _t: Pid, _f: TraceFlags) -> Result<(), SysError> {
                 Ok(())
             }
-            fn register_kernel_socket(&mut self) -> Fd {
-                Fd(3)
-            }
-            fn proc_info(&self, _p: Pid) -> Option<ProcInfo> {
-                None
-            }
-            fn user_processes(&self, _u: Uid) -> Vec<ProcInfo> {
-                Vec::new()
-            }
-            fn rusage_of(&self, _p: Pid) -> Option<Rusage> {
-                None
-            }
-            fn set_cpu_bound(&mut self, _y: bool) {}
             fn scale_cost(&mut self, nominal: SimDuration) -> SimDuration {
                 nominal
             }
             fn consume_cpu(&mut self, nominal: SimDuration) -> SimDuration {
                 nominal
-            }
-            fn stable_put_kv(&mut self, key: String, value: Bytes) {
-                self.stable.push((key, value));
-            }
-            fn stable_get(&self, key: &str) -> Option<Bytes> {
-                self.stable
-                    .iter()
-                    .rev()
-                    .find(|(k, _)| k == key)
-                    .map(|(_, v)| v.clone())
-            }
-            fn stable_del(&mut self, key: &str) {
-                self.stable.retain(|(k, _)| k != key);
             }
             fn open_path(&mut self, _p: String, _m: OpenMode) -> Fd {
                 Fd(4)
@@ -487,12 +519,14 @@ mod tests {
             fn close_fd(&mut self, _fd: Fd) -> Result<(), SysError> {
                 Ok(())
             }
-            fn open_fds(&self, _p: Pid) -> Result<Vec<(Fd, FdKind)>, SysError> {
-                Ok(Vec::new())
-            }
         }
 
-        let mut mini = Mini::default();
+        let mut mini = Mini {
+            core: HostCore::new(Micros::ZERO),
+            traces: Vec::new(),
+            sent: Vec::new(),
+            timers: 0,
+        };
         let sys: &mut dyn Sys = &mut mini;
         assert_eq!(sys.now(), Micros::from_millis(1));
         sys.trace(TraceCategory::Tool, format!("n={}", 1));

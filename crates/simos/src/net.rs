@@ -2,15 +2,16 @@
 //!
 //! The PPM's sibling LPMs and tools communicate over "private reliable
 //! stream communication channels" — 4.3BSD TCP connections. This module
-//! holds the bookkeeping; delivery scheduling lives in
-//! [`crate::world::World`]. Guarantees preserved: in-order delivery per
+//! holds the wire's record of each connection; the endpoints' states and
+//! descriptors are the host core's (`ppm_runtime::host::socket`), and
+//! delivery scheduling lives in [`crate::world::World`]. Guarantees preserved: in-order delivery per
 //! direction, connection-oriented failure reporting (a break is observed
 //! by the sender), and per-connection statistics for the IPC-tracing tool.
 
 use ppm_simnet::time::SimTime;
 use ppm_simnet::topology::HostId;
 
-use crate::ids::{ConnId, Pid, Port};
+use crate::ids::{ConnId, Port};
 use crate::program::ProcKey;
 
 /// One endpoint of a connection.
@@ -58,8 +59,6 @@ pub struct Connection {
     pub server: Endpoint,
     /// The server port connected to.
     pub port: Port,
-    /// Current state.
-    pub state: ConnState,
     /// Earliest admissible arrival time of the next message, per
     /// direction, enforcing FIFO despite jittered latencies.
     /// Index 0: messages arriving at the client; 1: at the server.
@@ -76,12 +75,22 @@ impl Connection {
             client,
             server,
             port,
-            state: ConnState::Connecting,
             next_arrival: [SimTime::ZERO; 2],
             stats: ConnStats {
                 opened_at: now,
                 ..Default::default()
             },
+        }
+    }
+
+    /// Where the connection stands on the wire, read from its timestamps:
+    /// `Closed` once it has a close time, `Established` once it has an
+    /// establishment time. (Each endpoint's own state is the host core's.)
+    pub fn state(&self) -> ConnState {
+        match (self.stats.established_at, self.stats.closed_at) {
+            (_, Some(_)) => ConnState::Closed,
+            (Some(_), None) => ConnState::Established,
+            (None, None) => ConnState::Connecting,
         }
     }
 
@@ -104,11 +113,6 @@ impl Connection {
     /// True when either endpoint lives on `host`.
     pub fn touches_host(&self, host: HostId) -> bool {
         self.client.0 == host || self.server.0 == host
-    }
-
-    /// True when either endpoint is exactly this process.
-    pub fn touches_proc(&self, host: HostId, pid: Pid) -> bool {
-        self.client == (host, pid) || self.server == (host, pid)
     }
 
     /// Records a send from `from` of `bytes` bytes and returns the index
@@ -145,6 +149,7 @@ impl Connection {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::Pid;
 
     fn conn() -> Connection {
         Connection::new(
@@ -159,7 +164,7 @@ mod tests {
     #[test]
     fn starts_connecting_with_open_timestamp() {
         let c = conn();
-        assert_eq!(c.state, ConnState::Connecting);
+        assert_eq!(c.state(), ConnState::Connecting);
         assert_eq!(c.stats.opened_at, SimTime::from_millis(2));
         assert_eq!(c.stats.established_at, None);
     }
@@ -175,13 +180,11 @@ mod tests {
     }
 
     #[test]
-    fn host_and_proc_touch_tests() {
+    fn host_touch_tests() {
         let c = conn();
         assert!(c.touches_host(HostId(0)));
         assert!(c.touches_host(HostId(1)));
         assert!(!c.touches_host(HostId(2)));
-        assert!(c.touches_proc(HostId(1), Pid(20)));
-        assert!(!c.touches_proc(HostId(1), Pid(21)));
     }
 
     #[test]

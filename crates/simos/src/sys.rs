@@ -9,17 +9,16 @@
 
 use bytes::Bytes;
 use ppm_runtime::obs::{SharedRegistry, SpanPhase};
-use ppm_runtime::sys::{Clock, Spawner, TimerDriver, TimerHandle, Transport};
+use ppm_runtime::sys::{Clock, CoreView, Spawner, TimerDriver, TimerHandle, Transport};
 use ppm_simnet::engine::EventId;
 use ppm_simnet::time::{SimDuration, SimTime};
 use ppm_simnet::topology::{CpuClass, HostId};
 use ppm_simnet::trace::TraceCategory;
 
 use ppm_runtime::events::TraceFlags;
-use ppm_runtime::fd::{FdKind, OpenMode};
-use ppm_runtime::host::{self, Callback, Policy};
+use ppm_runtime::fd::OpenMode;
+use ppm_runtime::host::{self, Callback, HostCore, Policy};
 use ppm_runtime::ids::{ConnId, Fd, Pid, Port, Uid};
-use ppm_runtime::process::{ProcInfo, Rusage};
 use ppm_runtime::program::{ProcKey, SpawnSpec, SysError};
 use ppm_runtime::signal::{ExitStatus, Signal};
 
@@ -59,19 +58,19 @@ impl TimerDriver for Sys<'_> {
 
 impl Transport for Sys<'_> {
     fn listen(&mut self, port: Port) -> Result<(), SysError> {
-        self.core.listen(self.key, port)
+        host::listen(self.core, self.key, port)
     }
 
     fn connect(&mut self, host: HostId, port: Port) -> Result<ConnId, SysError> {
-        self.core.connect(self.key, host, port)
+        host::connect(self.core, self.key, host, port)
     }
 
     fn send_bytes(&mut self, conn: ConnId, data: Bytes) -> Result<(), SysError> {
-        self.core.send(self.key, conn, data)
+        host::send(self.core, self.key, conn, data)
     }
 
     fn conn_alive(&self, conn: ConnId) -> bool {
-        self.core.conn_alive(self.key, conn)
+        host::conn_alive(&*self.core, self.key, conn)
     }
 
     fn net_epoch(&self) -> u64 {
@@ -86,7 +85,7 @@ impl Transport for Sys<'_> {
     }
 
     fn close(&mut self, conn: ConnId) -> Result<(), SysError> {
-        self.core.close(self.key, conn)
+        host::close(self.core, self.key, conn)
     }
 }
 
@@ -147,8 +146,12 @@ impl ppm_runtime::sys::Sys for Sys<'_> {
             .unwrap_or(Uid::ROOT)
     }
 
-    fn load_avg(&self) -> f64 {
-        self.core.kernel(self.key.0).load_avg()
+    fn host_core(&self) -> CoreView<&HostCore> {
+        CoreView::new(self.core.host(self.key.0))
+    }
+
+    fn host_core_mut(&mut self) -> CoreView<&mut HostCore> {
+        CoreView::new(self.core.host_mut(self.key.0))
     }
 
     fn resolve_host(&self, name: &str) -> Result<HostId, SysError> {
@@ -199,28 +202,6 @@ impl ppm_runtime::sys::Sys for Sys<'_> {
         host::adopt(self.core, self.key, uid, target, flags)
     }
 
-    fn register_kernel_socket(&mut self) -> Fd {
-        let (host, pid) = self.key;
-        self.core.host_mut(host).register_kernel_socket(pid)
-    }
-
-    fn proc_info(&self, pid: Pid) -> Option<ProcInfo> {
-        self.core.host(self.key.0).proc_info(pid)
-    }
-
-    fn user_processes(&self, uid: Uid) -> Vec<ProcInfo> {
-        self.core.host(self.key.0).user_processes(uid)
-    }
-
-    fn rusage_of(&self, pid: Pid) -> Option<Rusage> {
-        self.core.kernel(self.key.0).get(pid).map(|p| p.rusage)
-    }
-
-    fn set_cpu_bound(&mut self, yes: bool) {
-        let (host, pid) = self.key;
-        self.core.host_mut(host).set_cpu_bound(pid, yes);
-    }
-
     fn scale_cost(&mut self, nominal: SimDuration) -> SimDuration {
         self.core.scaled_cpu_cost(self.key.0, nominal)
     }
@@ -243,18 +224,6 @@ impl ppm_runtime::sys::Sys for Sys<'_> {
 
     // ---- stable storage ------------------------------------------------
 
-    fn stable_put_kv(&mut self, key: String, value: Bytes) {
-        self.core.stable_put(self.key.0, key, value);
-    }
-
-    fn stable_get(&self, key: &str) -> Option<Bytes> {
-        self.core.stable_get(self.key.0, key)
-    }
-
-    fn stable_del(&mut self, key: &str) {
-        self.core.stable_del(self.key.0, key);
-    }
-
     // ---- files -----------------------------------------------------------
 
     fn open_path(&mut self, path: String, mode: OpenMode) -> Fd {
@@ -262,15 +231,7 @@ impl ppm_runtime::sys::Sys for Sys<'_> {
     }
 
     fn close_fd(&mut self, fd: Fd) -> Result<(), SysError> {
-        if let Some(conn) = host::close_fd(self.core, self.key, fd)? {
-            let _ = self.core.close(self.key, conn);
-        }
-        Ok(())
-    }
-
-    fn open_fds(&self, pid: Pid) -> Result<Vec<(Fd, FdKind)>, SysError> {
-        let me = ppm_runtime::sys::Sys::uid(self);
-        self.core.host(self.key.0).open_fds(me, pid)
+        host::close_fd(self.core, self.key, fd)
     }
 }
 

@@ -7,19 +7,19 @@
 //! state and invokes at most one program handler — so a run with a given
 //! seed is exactly reproducible.
 //!
-//! The simulation's part is the ordering policy ([`Policy`]): every
-//! follow-on action the core asks for (a start, a kernel-event flush, a
-//! child-exit notice, a released or busy-deferred callback) becomes an
-//! engine event at a virtual-time delay, with RNG draws in a fixed order.
-//! Programs never call each other directly, mirroring the paper's
-//! message-based LPM design.
+//! The simulation's part is the ordering policy ([`Policy`]) and the wire:
+//! every follow-on action the core asks for (a start, a kernel-event
+//! flush, a child-exit notice, a handshake, a delivery, a close notice)
+//! becomes an engine event at a virtual-time delay, with RNG draws in a
+//! fixed order. Programs never call each other directly, mirroring the
+//! paper's message-based LPM design.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 
 use bytes::Bytes;
 use ppm_proto::codec::encode_batch;
-use ppm_runtime::host::{self, Callback, HostCore, Policy};
+use ppm_runtime::host::{self, Callback, Dial, HostCore, Policy, Teardown};
 use ppm_runtime::obs::{CounterId, HistId};
 use ppm_simnet::bandwidth::{NetModel, Transfer};
 use ppm_simnet::engine::TimerWheel;
@@ -31,13 +31,11 @@ use ppm_simnet::topology::{HostId, HostSpec, NetSpec, Topology};
 use ppm_simnet::trace::{TraceCategory, TraceLog};
 
 use crate::config::OsConfig;
-use crate::events::KernelEvent;
-use crate::fd::FdKind;
 use crate::ids::{ConnId, Pid, Port, Uid};
 use crate::kernel::Kernel;
 use crate::net::{ConnState, Connection};
 use crate::obs::ObsHub;
-use crate::program::{ConnEvent, KernelMsg, ProcKey, Program, SpawnSpec, SysError};
+use crate::program::{KernelMsg, ProcKey, Program, SpawnSpec, SysError};
 use crate::signal::{ExitStatus, Signal};
 use crate::sys::Sys;
 
@@ -48,21 +46,6 @@ pub type ServiceFactory = Box<dyn Fn(HostId) -> Box<dyn Program>>;
 pub(crate) struct ServiceEntry {
     pub port: Port,
     pub factory: ServiceFactory,
-}
-
-pub(crate) struct HostState {
-    /// Process table, programs and services (the shared host core).
-    pub core: HostCore,
-    pub listeners: HashMap<Port, Pid>,
-    /// Simulated disk: survives process exits *and* host crashes.
-    pub stable: HashMap<String, Bytes>,
-    /// Services running when the host crashed, name-sorted; a restart
-    /// re-runs them the way init re-runs /etc/rc after a power failure.
-    pub prev_services: Vec<String>,
-    /// Ids of the non-`Closed` connections with an endpoint on this host,
-    /// ascending. Exit and crash teardown walk this instead of every
-    /// connection the run has opened.
-    pub open_conns: BTreeSet<ConnId>,
 }
 
 /// Events flowing through the engine. Internal to the crate; programs see
@@ -138,7 +121,9 @@ pub struct WorldCore {
     pub(crate) rng: SimRng,
     pub(crate) trace: TraceLog,
     pub(crate) config: OsConfig,
-    pub(crate) hosts: Vec<HostState>,
+    /// Per host: process table, programs, services, sockets and stable
+    /// storage (the shared host core).
+    pub(crate) hosts: Vec<HostCore>,
     pub(crate) conns: HashMap<ConnId, Connection>,
     pub(crate) next_conn: u64,
     pub(crate) services: HashMap<String, ServiceEntry>,
@@ -238,13 +223,13 @@ impl WorldCore {
     ///
     /// Panics on an unknown host id.
     pub fn kernel(&self, host: HostId) -> &Kernel {
-        &self.hosts[host.0 as usize].core.kernel
+        &self.hosts[host.0 as usize].kernel
     }
 
     /// Mutable kernel of a host (benchmark hooks such as
     /// [`Kernel::set_load_avg`]).
     pub fn kernel_mut(&mut self, host: HostId) -> &mut Kernel {
-        &mut self.hosts[host.0 as usize].core.kernel
+        &mut self.hosts[host.0 as usize].kernel
     }
 
     /// Looks a host up by name.
@@ -270,22 +255,18 @@ impl WorldCore {
     }
 
     /// Ids of the non-`Closed` connections with an endpoint on `host`,
-    /// ascending.
+    /// ascending (read from the host core's open-socket index).
     pub fn open_connections(&self, host: HostId) -> impl Iterator<Item = ConnId> + '_ {
-        self.hs(host).open_conns.iter().copied()
+        let mut last = None;
+        self.host(host)
+            .sockets()
+            .map(|(conn, _, _)| conn)
+            .filter(move |&conn| last.replace(conn) != Some(conn))
     }
 
     pub(crate) fn tracef(&mut self, host: Option<HostId>, cat: TraceCategory, text: String) {
         let now = self.engine.now();
         self.trace.record(now, host, cat, text);
-    }
-
-    fn hs(&self, id: HostId) -> &HostState {
-        &self.hosts[id.0 as usize]
-    }
-
-    fn hs_mut(&mut self, id: HostId) -> &mut HostState {
-        &mut self.hosts[id.0 as usize]
     }
 
     pub(crate) fn host_up(&self, id: HostId) -> bool {
@@ -350,13 +331,13 @@ impl WorldCore {
             Some(e) => e.port,
             None => return Err(SysError::UnknownService),
         };
-        if let Some(pid) = self.hs(host).core.service(name) {
+        if let Some(pid) = self.host(host).service(name) {
             return Ok((pid, port));
         }
         let program = (self.services[name].factory)(host);
         let spec = SpawnSpec::new(name.to_string(), program);
         let pid = self.spawn(host, Pid::INIT, Uid::ROOT, spec, None)?;
-        self.hs_mut(host).core.register_service(name, pid);
+        self.host_mut(host).register_service(name, pid);
         self.tracef(
             Some(host),
             TraceCategory::Daemon,
@@ -365,111 +346,7 @@ impl WorldCore {
         Ok((pid, port))
     }
 
-    // ---- networking ----------------------------------------------------
-
-    /// Binds a listener.
-    pub(crate) fn listen(&mut self, key: ProcKey, port: Port) -> Result<(), SysError> {
-        let (host, pid) = key;
-        if !self.host_up(host) {
-            return Err(SysError::HostDown);
-        }
-        if self.hs(host).listeners.contains_key(&port) {
-            return Err(SysError::PortInUse);
-        }
-        self.hs_mut(host).listeners.insert(port, pid);
-        if let Ok(p) = self.kernel_mut(host).live_mut(pid) {
-            p.fds.alloc(FdKind::Listener { port });
-        }
-        self.tracef(
-            Some(host),
-            TraceCategory::Net,
-            format!("pid {pid} listening on {port}"),
-        );
-        Ok(())
-    }
-
-    /// Initiates a connection; completion is reported via `ConnEvent`.
-    pub(crate) fn connect(
-        &mut self,
-        from: ProcKey,
-        target: HostId,
-        port: Port,
-    ) -> Result<ConnId, SysError> {
-        if (target.0 as usize) >= self.hosts.len() {
-            return Err(SysError::NoSuchHost);
-        }
-        let id = ConnId(self.next_conn);
-        self.next_conn += 1;
-        let now = self.now();
-        let reach = self.route_state(from.0, target);
-        match reach {
-            RouteState::HostDown | RouteState::Unreachable => {
-                // SYN goes nowhere; timeout later.
-                let reason = if matches!(reach, RouteState::HostDown) {
-                    SysError::HostDown
-                } else {
-                    SysError::Unreachable
-                };
-                let delay = self.config.connect_timeout;
-                // Connection record kept so a late close() is harmless.
-                let mut c = Connection::new(id, from, (target, Pid::INIT), port, now);
-                c.state = ConnState::Closed;
-                c.stats.closed_at = Some(now);
-                self.conns.insert(id, c);
-                self.engine.schedule(
-                    delay,
-                    SimEvent::ConnFailed {
-                        conn: id,
-                        to: from,
-                        reason,
-                    },
-                );
-                Ok(id)
-            }
-            RouteState::Hops(hops) => {
-                let server_pid = match self.hs(target).listeners.get(&port) {
-                    Some(&pid) => pid,
-                    None => {
-                        // RST: refused after one round trip.
-                        let rtt = self.rtt(hops, from.0, target, self.config.handshake_bytes);
-                        let mut c = Connection::new(id, from, (target, Pid::INIT), port, now);
-                        c.state = ConnState::Closed;
-                        c.stats.closed_at = Some(now);
-                        self.conns.insert(id, c);
-                        self.engine.schedule(
-                            rtt,
-                            SimEvent::ConnFailed {
-                                conn: id,
-                                to: from,
-                                reason: SysError::ConnectionRefused,
-                            },
-                        );
-                        return Ok(id);
-                    }
-                };
-                let c = Connection::new(id, from, (target, server_pid), port, now);
-                self.conns.insert(id, c);
-                self.hs_mut(from.0).open_conns.insert(id);
-                self.hs_mut(target).open_conns.insert(id);
-                if let Ok(p) = self.kernel_mut(from.0).live_mut(from.1) {
-                    p.fds.alloc(FdKind::Socket { conn: id });
-                }
-                let rtt = self.rtt(hops, from.0, target, self.config.handshake_bytes);
-                self.engine
-                    .schedule(rtt, SimEvent::ConnEstablish { conn: id });
-                self.tracef(
-                    Some(from.0),
-                    TraceCategory::Net,
-                    format!(
-                        "pid {} connecting to {}{port} ({hops} hops, {id})",
-                        from.1,
-                        self.host_name(target)
-                    ),
-                );
-                Ok(id)
-            }
-        }
-    }
+    // ---- the wire --------------------------------------------------------
 
     fn rtt(&mut self, hops: u32, a: HostId, b: HostId, bytes: usize) -> SimDuration {
         let one_way = self.one_way(hops, a, b, bytes);
@@ -495,58 +372,253 @@ impl WorldCore {
         self.latency.wire(hops, bytes)
     }
 
-    /// Whether a connection is deliverable right now: `from` is an
-    /// endpoint, the connection is established, and the link to the peer
-    /// is routable. Unlike [`WorldCore::send`], a dead route here is
-    /// reported immediately instead of succeeding locally and breaking
-    /// after the detection interval — this is the send-time liveness
-    /// check programs use to validate cached next-hops.
-    pub(crate) fn conn_alive(&self, from: ProcKey, conn: ConnId) -> bool {
-        let Some(c) = self.conns.get(&conn) else {
-            return false;
+    /// Records one routed delivery into the `net.*` metrics.
+    fn note_net_send(&mut self, bytes: u64, queue_us: u64, links: u32) {
+        let Some(ids) = &mut self.net_obs else {
+            return;
         };
-        if !c.has_endpoint(from) || c.state != ConnState::Established {
-            return false;
+        self.obs
+            .registry
+            .add(ids.bytes_on_link, bytes * u64::from(links));
+        self.obs.registry.record(ids.link_queue_us, queue_us);
+        if queue_us > 0 {
+            self.obs.registry.inc(ids.congested_sends);
         }
-        let peer = c.peer_of(from).expect("endpoint checked");
-        matches!(self.route_state(from.0, peer.0), RouteState::Hops(_))
+        self.obs.registry.inc(ids.routed_sends);
+        let bis = self.net.as_ref().map_or(0, |n| n.bisection_bytes);
+        self.obs
+            .registry
+            .add(ids.bisection_bytes, bis - ids.prev_bisection);
+        ids.prev_bisection = bis;
     }
 
-    /// Sends bytes on an established connection. Returns `Ok` when the
-    /// local write succeeds (TCP semantics); breakage discovered later is
-    /// reported via a `Closed` event.
-    pub(crate) fn send(
-        &mut self,
-        from: ProcKey,
-        conn: ConnId,
-        data: Bytes,
-    ) -> Result<(), SysError> {
-        let (peer, state) = match self.conns.get(&conn) {
-            Some(c) if c.has_endpoint(from) => (c.peer_of(from).expect("endpoint"), c.state),
-            Some(_) => return Err(SysError::NotConnected),
-            None => return Err(SysError::NotConnected),
+    /// Records one lossy-link drop into the `net.*` metrics. The bytes
+    /// still occupied the links up to the drop, so the bisection count is
+    /// synced here too.
+    fn note_net_drop(&mut self) {
+        let Some(ids) = &mut self.net_obs else {
+            return;
         };
-        match state {
-            ConnState::Connecting => return Err(SysError::NotConnected),
-            ConnState::Closed => return Err(SysError::ConnectionClosed),
-            ConnState::Established => {}
+        self.obs.registry.inc(ids.drops);
+        self.obs.registry.inc(ids.routed_sends);
+        let bis = self.net.as_ref().map_or(0, |n| n.bisection_bytes);
+        self.obs
+            .registry
+            .add(ids.bisection_bytes, bis - ids.prev_bisection);
+        ids.prev_bisection = bis;
+    }
+
+    /// Closes a connection on the wire: stamps its close time and closes
+    /// both endpoints in their hosts' cores. A simulated connection is one
+    /// record seen from both ends, so a close, death or break at either
+    /// end ends it for both at once.
+    fn mark_closed(&mut self, conn: ConnId) {
+        let now = self.now();
+        let Some(c) = self.conns.get_mut(&conn) else {
+            return;
+        };
+        if c.stats.closed_at.is_some() {
+            return;
         }
-        let len = data.len();
-        // Sender-side accounting and tracing.
-        {
-            if let Ok(p) = self.kernel_mut(from.0).live_mut(from.1) {
-                p.rusage.msgs_sent += 1;
-                p.rusage.bytes_sent += len as u64;
+        c.stats.closed_at = Some(now);
+        let (client, server) = (c.client, c.server);
+        self.host_mut(client.0).close_socket(conn, client.1);
+        self.host_mut(server.0).close_socket(conn, server.1);
+    }
+
+    fn route_state(&self, a: HostId, b: HostId) -> RouteState {
+        if !self.host_up(b) {
+            return RouteState::HostDown;
+        }
+        // A netmodel can sever the *physical* path (e.g. a pod cut off
+        // the fat-tree core) even while the logical topology still lists
+        // the hosts as linked.
+        if let Some(net) = &self.net {
+            if a != b && !net.reachable(a.0, b.0) {
+                return RouteState::Unreachable;
             }
         }
-        host::emit(
-            self,
-            from.0,
-            KernelEvent::MsgSent {
-                pid: from.1,
-                bytes: len,
+        match self.topo.hops(a, b) {
+            Some(h) => RouteState::Hops(h),
+            None => RouteState::Unreachable,
+        }
+    }
+
+    /// Reads a host's stable-storage record (the facade's inspection
+    /// channel; see [`ppm_runtime::rt::Runtime::stable_get`]).
+    pub fn stable_get_pub(&self, host: HostId, key: &str) -> Option<Bytes> {
+        self.host(host).stable_get(key)
+    }
+}
+
+/// The simulation's ordering policy: follow-on work becomes engine events
+/// at virtual-time delays, with RNG draws in a fixed order.
+impl Policy for WorldCore {
+    type Sys<'a> = Sys<'a>;
+
+    fn now(&self) -> SimTime {
+        self.engine.now()
+    }
+
+    fn host(&self, host: HostId) -> &HostCore {
+        &self.hosts[host.0 as usize]
+    }
+
+    fn host_mut(&mut self, host: HostId) -> &mut HostCore {
+        &mut self.hosts[host.0 as usize]
+    }
+
+    fn host_up(&self, host: HostId) -> bool {
+        self.topo.is_up(host)
+    }
+
+    fn sys(&mut self, key: ProcKey) -> Sys<'_> {
+        Sys::new(self, key)
+    }
+
+    fn trace(&mut self, host: HostId, category: TraceCategory, text: String) {
+        self.tracef(Some(host), category, text);
+    }
+
+    /// The first event of a wakeup pays the Table 1 latency and arms the
+    /// flush; later events coalesce into the same batch frame.
+    fn kernel_queued(&mut self, tracer: ProcKey, msg: &KernelMsg, starts_batch: bool) {
+        self.obs.note_kernel_event();
+        let (host, lpm) = tracer;
+        let (kind, bytes, pid) = (msg.event.kind(), msg.event.wire_size(), msg.event.pid());
+        if starts_batch {
+            self.obs.note_kernel_wakeup();
+            let cpu = self.topo.spec(host).cpu;
+            let la = self.kernel(host).load_avg();
+            let base = self.latency.kernel_msg(cpu, la, bytes);
+            let jf = self.latency.jitter_fraction;
+            let delay = self.rng.jitter(base, jf);
+            self.tracef(
+                Some(host),
+                TraceCategory::Kernel,
+                format!("event {kind} pid {pid} -> lpm {lpm} ({bytes} bytes, {delay})"),
+            );
+            self.engine
+                .schedule(delay, SimEvent::KernelFlush { to: tracer });
+        } else {
+            self.tracef(
+                Some(host),
+                TraceCategory::Kernel,
+                format!("event {kind} pid {pid} -> lpm {lpm} ({bytes} bytes, batched)"),
+            );
+        }
+    }
+
+    fn kernel_frame(&mut self, tracer: ProcKey, msgs: &[KernelMsg]) -> Bytes {
+        self.obs.note_kernel_batch(msgs.len());
+        if msgs.len() > 1 {
+            self.tracef(
+                Some(tracer.0),
+                TraceCategory::Kernel,
+                format!(
+                    "flush {} coalesced event(s) -> lpm {}",
+                    msgs.len(),
+                    tracer.1
+                ),
+            );
+        }
+        encode_batch(msgs)
+    }
+
+    fn signal_sent(&mut self, target: ProcKey, signal: Signal) {
+        let delay = self.config.signal_latency;
+        let jf = self.config.cost_jitter;
+        let delay = self.rng.jitter(delay, jf);
+        self.engine
+            .schedule(delay, SimEvent::SignalDeliver { to: target, signal });
+    }
+
+    fn child_exited(&mut self, parent: ProcKey, child: Pid, status: ExitStatus) {
+        let delay = self.config.child_exit_latency;
+        self.engine.schedule(
+            delay,
+            SimEvent::Run(parent, Callback::ChildExit(child, status)),
+        );
+    }
+
+    fn resume(&mut self, key: ProcKey, callback: Callback) {
+        self.engine
+            .schedule(SimDuration::ZERO, SimEvent::Run(key, callback));
+    }
+
+    fn retry_at(&mut self, key: ProcKey, at: SimTime, callback: Callback) {
+        self.engine.schedule_at(at, SimEvent::Run(key, callback));
+    }
+
+    /// Opens the connection record and schedules the handshake: a live
+    /// listener answers after one round trip, a port nobody listens on
+    /// refuses after one (RST), and a SYN toward a dead host or route
+    /// times out.
+    fn dial(
+        &mut self,
+        from: ProcKey,
+        target: HostId,
+        port: Port,
+    ) -> Result<(ConnId, Dial), SysError> {
+        if (target.0 as usize) >= self.hosts.len() {
+            return Err(SysError::NoSuchHost);
+        }
+        let id = ConnId(self.next_conn);
+        self.next_conn += 1;
+        let now = self.now();
+        let timeout = self.config.connect_timeout;
+        let listener = self.host(target).listener(port);
+        let (delay, reason) = match (self.route_state(from.0, target), listener) {
+            (RouteState::HostDown, _) => (timeout, SysError::HostDown),
+            (RouteState::Unreachable, _) => (timeout, SysError::Unreachable),
+            (RouteState::Hops(hops), None) => {
+                let rtt = self.rtt(hops, from.0, target, self.config.handshake_bytes);
+                (rtt, SysError::ConnectionRefused)
+            }
+            (RouteState::Hops(hops), Some(pid)) => {
+                let server = (target, pid);
+                let c = Connection::new(id, from, server, port, now);
+                self.conns.insert(id, c);
+                let rtt = self.rtt(hops, from.0, target, self.config.handshake_bytes);
+                self.engine
+                    .schedule(rtt, SimEvent::ConnEstablish { conn: id });
+                let text = format!(
+                    "pid {} connecting to {}{port} ({hops} hops, {id})",
+                    from.1,
+                    self.host_name(target)
+                );
+                self.tracef(Some(from.0), TraceCategory::Net, text);
+                let server = Some(server);
+                return Ok((id, Dial::Pending { server }));
+            }
+        };
+        // The record stays, closed, so a late `close` is harmless and the
+        // IPC tool still lists the attempt.
+        let mut c = Connection::new(id, from, (target, Pid::INIT), port, now);
+        c.stats.closed_at = Some(now);
+        self.conns.insert(id, c);
+        let to = from;
+        self.engine.schedule(
+            delay,
+            SimEvent::ConnFailed {
+                conn: id,
+                to,
+                reason,
             },
         );
+        Ok((id, Dial::Doomed))
+    }
+
+    /// Prices the send over the route (flat wire law or the netmodel),
+    /// applies fault-plan wire rules, and schedules the delivery no
+    /// earlier than the direction's FIFO floor. A dead route still
+    /// succeeds locally (TCP semantics); the sender hears `Closed` after
+    /// the detection interval.
+    fn transmit(&mut self, from: ProcKey, conn: ConnId, data: Bytes) -> Result<(), SysError> {
+        let peer = self.conns[&conn]
+            .peer_of(from)
+            .expect("the core checked the endpoint");
+        let len = data.len();
         let reach = self.route_state(from.0, peer.0);
         let hops = match reach {
             RouteState::Hops(h) => h,
@@ -668,259 +740,44 @@ impl WorldCore {
         Ok(())
     }
 
-    /// Closes a connection from one side; the peer is notified. Like a
-    /// TCP FIN, the notification is ordered after data already in flight
-    /// toward the peer.
-    pub(crate) fn close(&mut self, from: ProcKey, conn: ConnId) -> Result<(), SysError> {
-        let (peer, state, dir_floor) = match self.conns.get(&conn) {
-            Some(c) if c.has_endpoint(from) => {
-                let peer = c.peer_of(from).expect("endpoint");
-                let dir = if peer == c.server { 1 } else { 0 };
-                (peer, c.state, c.next_arrival[dir])
-            }
-            _ => return Err(SysError::NotConnected),
+    /// Like a TCP FIN, the peer's notice is ordered after data already in
+    /// flight toward it: one short control message after a close or exit;
+    /// the detection interval after a crash, and only to a survivor on
+    /// another host that is up.
+    fn hang_up(&mut self, end: ProcKey, conn: ConnId, how: Teardown) {
+        let c = &self.conns[&conn];
+        let Some(peer) = c.peer_of(end) else {
+            return;
         };
-        if state == ConnState::Closed {
-            return Ok(());
-        }
+        let floor = c.next_arrival[usize::from(peer == c.server)];
         self.mark_closed(conn);
-        if let RouteState::Hops(hops) = self.route_state(from.0, peer.0) {
-            let jf = self.latency.jitter_fraction;
-            let base = self.one_way(hops, from.0, peer.0, 32);
-            let delay = self.rng.jitter(base, jf);
-            let mut at = self.engine.now() + delay;
-            if at < dir_floor {
-                at = dir_floor;
+        let delay = match how {
+            Teardown::Close => {
+                let RouteState::Hops(hops) = self.route_state(end.0, peer.0) else {
+                    return;
+                };
+                let base = self.one_way(hops, end.0, peer.0, 32);
+                self.rng.jitter(base, self.latency.jitter_fraction)
             }
-            self.engine
-                .schedule_at(at, SimEvent::ConnClosedNotify { conn, to: peer });
-        }
-        Ok(())
-    }
-
-    /// Marks a connection closed and schedules a close notification to the
-    /// peer of `dead_end`'s counterpart (used on process exit).
-    fn break_conn(&mut self, conn: ConnId, dead_end: ProcKey) {
-        let peer = {
-            let c = &self.conns[&conn];
-            c.peer_of(dead_end)
-        };
-        self.mark_closed(conn);
-        if let Some(peer) = peer {
-            if let RouteState::Hops(hops) = self.route_state(dead_end.0, peer.0) {
-                let jf = self.latency.jitter_fraction;
-                let base = self.one_way(hops, dead_end.0, peer.0, 32);
-                let delay = self.rng.jitter(base, jf);
-                self.engine
-                    .schedule(delay, SimEvent::ConnClosedNotify { conn, to: peer });
+            Teardown::Crash => {
+                if peer.0 == end.0 || !self.host_up(peer.0) {
+                    return;
+                }
+                let base = self.config.break_detection;
+                self.rng.jitter(base, self.config.cost_jitter)
             }
-        }
-    }
-
-    /// Records one routed delivery into the `net.*` metrics.
-    fn note_net_send(&mut self, bytes: u64, queue_us: u64, links: u32) {
-        let Some(ids) = &mut self.net_obs else {
-            return;
         };
-        self.obs
-            .registry
-            .add(ids.bytes_on_link, bytes * u64::from(links));
-        self.obs.registry.record(ids.link_queue_us, queue_us);
-        if queue_us > 0 {
-            self.obs.registry.inc(ids.congested_sends);
-        }
-        self.obs.registry.inc(ids.routed_sends);
-        let bis = self.net.as_ref().map_or(0, |n| n.bisection_bytes);
-        self.obs
-            .registry
-            .add(ids.bisection_bytes, bis - ids.prev_bisection);
-        ids.prev_bisection = bis;
-    }
-
-    /// Records one lossy-link drop into the `net.*` metrics. The bytes
-    /// still occupied the links up to the drop, so the bisection count is
-    /// synced here too.
-    fn note_net_drop(&mut self) {
-        let Some(ids) = &mut self.net_obs else {
-            return;
-        };
-        self.obs.registry.inc(ids.drops);
-        self.obs.registry.inc(ids.routed_sends);
-        let bis = self.net.as_ref().map_or(0, |n| n.bisection_bytes);
-        self.obs
-            .registry
-            .add(ids.bisection_bytes, bis - ids.prev_bisection);
-        ids.prev_bisection = bis;
-    }
-
-    /// The one place a connection becomes `Closed`; it also leaves both
-    /// endpoint hosts' open sets.
-    pub(crate) fn mark_closed(&mut self, conn: ConnId) {
-        let now = self.now();
-        let Some(c) = self.conns.get_mut(&conn) else {
-            return;
-        };
-        if c.state == ConnState::Closed {
-            return;
-        }
-        c.state = ConnState::Closed;
-        c.stats.closed_at = Some(now);
-        let (a, b) = (c.client.0, c.server.0);
-        self.hs_mut(a).open_conns.remove(&conn);
-        self.hs_mut(b).open_conns.remove(&conn);
-    }
-
-    fn route_state(&self, a: HostId, b: HostId) -> RouteState {
-        if !self.host_up(b) {
-            return RouteState::HostDown;
-        }
-        // A netmodel can sever the *physical* path (e.g. a pod cut off
-        // the fat-tree core) even while the logical topology still lists
-        // the hosts as linked.
-        if let Some(net) = &self.net {
-            if a != b && !net.reachable(a.0, b.0) {
-                return RouteState::Unreachable;
-            }
-        }
-        match self.topo.hops(a, b) {
-            Some(h) => RouteState::Hops(h),
-            None => RouteState::Unreachable,
-        }
-    }
-
-    // ---- stable storage -------------------------------------------------
-
-    pub(crate) fn stable_put(&mut self, host: HostId, key: String, value: Bytes) {
-        self.hs_mut(host).stable.insert(key, value);
-    }
-
-    pub(crate) fn stable_get(&self, host: HostId, key: &str) -> Option<Bytes> {
-        self.hs(host).stable.get(key).cloned()
-    }
-
-    pub(crate) fn stable_del(&mut self, host: HostId, key: &str) {
-        self.hs_mut(host).stable.remove(key);
-    }
-
-    /// Reads a host's stable-storage record (the facade's inspection
-    /// channel; see [`ppm_runtime::rt::Runtime::stable_get`]).
-    pub fn stable_get_pub(&self, host: HostId, key: &str) -> Option<Bytes> {
-        self.stable_get(host, key)
-    }
-}
-
-/// The simulation's ordering policy: follow-on work becomes engine events
-/// at virtual-time delays, with RNG draws in a fixed order.
-impl Policy for WorldCore {
-    type Sys<'a> = Sys<'a>;
-
-    fn now(&self) -> SimTime {
-        self.engine.now()
-    }
-
-    fn host(&self, host: HostId) -> &HostCore {
-        &self.hosts[host.0 as usize].core
-    }
-
-    fn host_mut(&mut self, host: HostId) -> &mut HostCore {
-        &mut self.hosts[host.0 as usize].core
-    }
-
-    fn host_up(&self, host: HostId) -> bool {
-        self.topo.is_up(host)
-    }
-
-    fn sys(&mut self, key: ProcKey) -> Sys<'_> {
-        Sys::new(self, key)
-    }
-
-    fn trace(&mut self, host: HostId, category: TraceCategory, text: String) {
-        self.tracef(Some(host), category, text);
-    }
-
-    /// The first event of a wakeup pays the Table 1 latency and arms the
-    /// flush; later events coalesce into the same batch frame.
-    fn kernel_queued(&mut self, tracer: ProcKey, msg: &KernelMsg, starts_batch: bool) {
-        self.obs.note_kernel_event();
-        let (host, lpm) = tracer;
-        let (kind, bytes, pid) = (msg.event.kind(), msg.event.wire_size(), msg.event.pid());
-        if starts_batch {
-            self.obs.note_kernel_wakeup();
-            let cpu = self.topo.spec(host).cpu;
-            let la = self.kernel(host).load_avg();
-            let base = self.latency.kernel_msg(cpu, la, bytes);
-            let jf = self.latency.jitter_fraction;
-            let delay = self.rng.jitter(base, jf);
-            self.tracef(
-                Some(host),
-                TraceCategory::Kernel,
-                format!("event {kind} pid {pid} -> lpm {lpm} ({bytes} bytes, {delay})"),
-            );
-            self.engine
-                .schedule(delay, SimEvent::KernelFlush { to: tracer });
-        } else {
-            self.tracef(
-                Some(host),
-                TraceCategory::Kernel,
-                format!("event {kind} pid {pid} -> lpm {lpm} ({bytes} bytes, batched)"),
-            );
-        }
-    }
-
-    fn kernel_frame(&mut self, tracer: ProcKey, msgs: &[KernelMsg]) -> Bytes {
-        self.obs.note_kernel_batch(msgs.len());
-        if msgs.len() > 1 {
-            self.tracef(
-                Some(tracer.0),
-                TraceCategory::Kernel,
-                format!(
-                    "flush {} coalesced event(s) -> lpm {}",
-                    msgs.len(),
-                    tracer.1
-                ),
-            );
-        }
-        encode_batch(msgs)
-    }
-
-    fn signal_sent(&mut self, target: ProcKey, signal: Signal) {
-        let delay = self.config.signal_latency;
-        let jf = self.config.cost_jitter;
-        let delay = self.rng.jitter(delay, jf);
+        let at = (self.engine.now() + delay).max(floor);
         self.engine
-            .schedule(delay, SimEvent::SignalDeliver { to: target, signal });
+            .schedule_at(at, SimEvent::ConnClosedNotify { conn, to: peer });
     }
 
-    fn child_exited(&mut self, parent: ProcKey, child: Pid, status: ExitStatus) {
-        let delay = self.config.child_exit_latency;
-        self.engine.schedule(
-            delay,
-            SimEvent::Run(parent, Callback::ChildExit(child, status)),
-        );
-    }
-
-    fn resume(&mut self, key: ProcKey, callback: Callback) {
-        self.engine
-            .schedule(SimDuration::ZERO, SimEvent::Run(key, callback));
-    }
-
-    fn retry_at(&mut self, key: ProcKey, at: SimTime, callback: Callback) {
-        self.engine.schedule_at(at, SimEvent::Run(key, callback));
-    }
-
-    /// Tears down the listeners and connections the process owned.
-    fn released(&mut self, key: ProcKey) {
-        let (host, pid) = key;
-        self.hs_mut(host)
-            .listeners
-            .retain(|_, &mut owner| owner != pid);
-        let ids: Vec<ConnId> = self
-            .open_connections(host)
-            .filter(|id| self.conns[id].touches_proc(host, pid))
-            .collect();
-        for id in ids {
-            self.break_conn(id, key);
-        }
+    /// Unlike a send, a dead route is reported at once instead of
+    /// succeeding locally and breaking after the detection interval: this
+    /// is the check programs use to validate cached next-hops.
+    fn route_alive(&self, end: ProcKey, conn: ConnId) -> bool {
+        let peer = self.conns.get(&conn).and_then(|c| c.peer_of(end));
+        peer.is_some_and(|peer| matches!(self.route_state(end.0, peer.0), RouteState::Hops(_)))
     }
 }
 
@@ -947,7 +804,7 @@ impl fmt::Debug for World {
                     .core
                     .hosts
                     .iter()
-                    .map(|h| h.core.program_pids().count())
+                    .map(|h| h.program_pids().count())
                     .sum::<usize>(),
             )
             .field("connections", &self.core.conns.len())
@@ -1029,13 +886,8 @@ impl World {
     /// Adds a host running the standard daemons (inetd) and returns its id.
     pub fn add_host(&mut self, spec: HostSpec) -> HostId {
         let id = self.core.topo.add_host(spec);
-        self.core.hosts.push(HostState {
-            core: HostCore::new(self.core.now()),
-            listeners: HashMap::new(),
-            stable: HashMap::new(),
-            prev_services: Vec::new(),
-            open_conns: BTreeSet::new(),
-        });
+        let core = HostCore::new(self.core.now());
+        self.core.hosts.push(core);
         self.boot_daemons(id);
         let tick = self.core.config.load_tick;
         self.core.engine.schedule(tick, SimEvent::LoadTick(id));
@@ -1275,19 +1127,14 @@ impl World {
                 let alive_conn = core
                     .conns
                     .get(&conn)
-                    .is_some_and(|c| c.state != ConnState::Connecting);
+                    .is_some_and(|c| c.state() != ConnState::Connecting);
                 if alive_conn {
                     host::dispatch(core, to, Callback::Message(conn, data));
                 }
             }
             SimEvent::ConnEstablish { conn } => self.handle_establish(conn),
-            SimEvent::ConnFailed { conn, to, reason } => {
-                host::dispatch(core, to, Callback::Conn(conn, ConnEvent::Failed(reason)));
-            }
-            SimEvent::ConnClosedNotify { conn, to } => {
-                core.mark_closed(conn);
-                host::dispatch(core, to, Callback::Conn(conn, ConnEvent::Closed));
-            }
+            SimEvent::ConnFailed { conn, to, reason } => host::conn_failed(core, to, conn, reason),
+            SimEvent::ConnClosedNotify { conn, to } => host::peer_closed(core, to, conn),
             SimEvent::KernelFlush { to } => host::flush_kernel(core, to),
             SimEvent::SignalDeliver { to, signal } => host::deliver_signal(core, to, signal),
             SimEvent::LoadTick(host) => {
@@ -1357,7 +1204,7 @@ impl World {
 
     fn handle_establish(&mut self, conn: ConnId) {
         let (client, server, port, state) = match self.core.conns.get(&conn) {
-            Some(c) => (c.client, c.server, c.port, c.state),
+            Some(c) => (c.client, c.server, c.port, c.state()),
             None => return,
         };
         if state != ConnState::Connecting {
@@ -1365,9 +1212,8 @@ impl World {
         }
         // Re-validate: server process must still be alive and listening,
         // and the route must still exist.
-        let still_listening = self.core.host_up(server.0)
-            && self.core.hosts[server.0 .0 as usize].listeners.get(&port) == Some(&server.1)
-            && self.core.is_alive(server);
+        let listener = self.core.host(server.0).listener(port);
+        let still_listening = listener == Some(server.1) && self.core.is_alive(server);
         let routed = self.core.topo.hops(client.0, server.0).is_some()
             && self
                 .core
@@ -1381,20 +1227,12 @@ impl World {
             } else {
                 SysError::Unreachable
             };
-            host::dispatch(
-                &mut self.core,
-                client,
-                Callback::Conn(conn, ConnEvent::Failed(reason)),
-            );
+            host::conn_failed(&mut self.core, client, conn, reason);
             return;
         }
         let now = self.core.now();
         if let Some(c) = self.core.conns.get_mut(&conn) {
-            c.state = ConnState::Established;
             c.stats.established_at = Some(now);
-        }
-        if let Ok(p) = self.core.kernel_mut(server.0).live_mut(server.1) {
-            p.fds.alloc(FdKind::Socket { conn });
         }
         self.core.tracef(
             Some(server.0),
@@ -1406,13 +1244,8 @@ impl World {
                 self.core.host_name(server.0),
             ),
         );
-        let accepted = ConnEvent::Accepted { peer: client, port };
-        host::dispatch(&mut self.core, server, Callback::Conn(conn, accepted));
-        host::dispatch(
-            &mut self.core,
-            client,
-            Callback::Conn(conn, ConnEvent::Established),
-        );
+        host::accepted(&mut self.core, server, conn, client, port);
+        host::established(&mut self.core, client, conn);
     }
 
     fn handle_crash(&mut self, host: HostId) {
@@ -1426,43 +1259,12 @@ impl World {
         self.core.net_epoch += 1;
         self.core
             .tracef(Some(host), TraceCategory::Net, "host crashed".to_string());
-        // Break all connections touching the host; survivors learn after
-        // the detection interval.
-        let ids: Vec<ConnId> = self.core.open_connections(host).collect();
-        for id in ids {
-            let (client, server) = {
-                let c = &self.core.conns[&id];
-                (c.client, c.server)
-            };
-            self.core.mark_closed(id);
-            let survivor = if client.0 == host { server } else { client };
-            if survivor.0 != host && self.core.host_up(survivor.0) {
-                let jf = self.core.config.cost_jitter;
-                let base = self.core.config.break_detection;
-                let delay = self.core.rng.jitter(base, jf);
-                self.core.engine.schedule(
-                    delay,
-                    SimEvent::ConnClosedNotify {
-                        conn: id,
-                        to: survivor,
-                    },
-                );
-            }
-        }
-        // All local process activity ceases; nothing is notified locally.
-        // The crash instant and the running service set go to stable
-        // storage (the simulated disk survives the power failure): a
-        // restart re-runs the services, and a respawned daemon can read
-        // how long the host was dark.
-        let now = self.core.now();
-        let hs = &mut self.core.hosts[host.0 as usize];
-        hs.stable.insert(
-            CRASHED_AT_KEY.to_string(),
-            Bytes::copy_from_slice(&now.as_micros().to_be_bytes()),
-        );
-        hs.prev_services = hs.core.service_names();
-        hs.listeners.clear();
-        hs.core.crash();
+        // The core breaks every connection touching the host (survivors
+        // learn after the detection interval) and stamps the crash instant
+        // into stable storage, which survives the power failure: a
+        // restart re-runs the services that were up, and a respawned
+        // daemon can read how long the host was dark.
+        host::crash(&mut self.core, host);
     }
 
     fn handle_restart(&mut self, host: HostId) {
@@ -1481,7 +1283,7 @@ impl World {
         self.boot_daemons(host);
         // Re-run the services that were up at crash time (pmd comes back
         // without waiting for traffic), the way init replays /etc/rc.
-        let names = std::mem::take(&mut self.core.hosts[host.0 as usize].prev_services);
+        let names = self.core.host_mut(host).take_crashed_services();
         for name in names {
             let _ = self.core.spawn_service(host, &name);
         }
@@ -1522,9 +1324,7 @@ mod tests {
             .map(|p| p.pid);
         assert!(inetd.is_some());
         // inetd listens on its well-known port
-        assert!(w.core().hosts[a.0 as usize]
-            .listeners
-            .contains_key(&Port::INETD));
+        assert!(w.core().host(a).listener(Port::INETD).is_some());
     }
 
     #[test]
@@ -1590,9 +1390,7 @@ mod tests {
         assert!(w.core().host_up(a));
         assert_eq!(w.core().kernel(a).boot_count(), 2);
         // inetd is back
-        assert!(w.core().hosts[a.0 as usize]
-            .listeners
-            .contains_key(&Port::INETD));
+        assert!(w.core().host(a).listener(Port::INETD).is_some());
     }
 
     #[test]

@@ -11,6 +11,7 @@ use ppm_simnet::time::{SimDuration, SimTime};
 use ppm_simnet::topology::{CpuClass, HostSpec};
 use ppm_simos::config::OsConfig;
 use ppm_simos::events::{KernelEvent, TraceFlags};
+use ppm_simos::fd::FdKind;
 use ppm_simos::ids::{ConnId, Pid, Port, Uid};
 use ppm_simos::net::ConnState;
 use ppm_simos::process::ProcState;
@@ -765,7 +766,10 @@ impl Program for Dialer {
 }
 
 /// Each host's open-connection index equals the non-`Closed`
-/// connections with an endpoint on that host. Returns the index sizes.
+/// connections with an endpoint on that host, and every live process
+/// holds a `Socket` descriptor for exactly its open endpoints that have
+/// one (a connection still in the listen queue has none). Returns the
+/// index sizes.
 fn assert_open_index_matches_table(w: &World) -> Vec<usize> {
     let core = w.core();
     let mut sizes = Vec::new();
@@ -773,11 +777,29 @@ fn assert_open_index_matches_table(w: &World) -> Vec<usize> {
         let indexed: Vec<ConnId> = core.open_connections(host).collect();
         let open: Vec<ConnId> = core
             .connections()
-            .filter(|c| c.state != ConnState::Closed && c.touches_host(host))
+            .filter(|c| c.state() != ConnState::Closed && c.touches_host(host))
             .map(|c| c.id)
             .collect();
         assert_eq!(indexed, open, "{host}: open-connection index drifted");
         sizes.push(indexed.len());
+        for p in core.kernel(host).processes().filter(|p| p.is_alive()) {
+            let mut fds: Vec<ConnId> = p
+                .fds
+                .iter()
+                .filter_map(|(_, k)| match k {
+                    FdKind::Socket { conn } => Some(*conn),
+                    _ => None,
+                })
+                .collect();
+            fds.sort_unstable();
+            let held: Vec<ConnId> = core
+                .host(host)
+                .sockets()
+                .filter(|&(_, pid, sock)| pid == p.pid && sock.fd.is_some())
+                .map(|(conn, _, _)| conn)
+                .collect();
+            assert_eq!(fds, held, "{host} pid {}: stale socket descriptors", p.pid);
+        }
     }
     sizes
 }
@@ -838,7 +860,7 @@ fn open_connection_index_tracks_connect_close_exit_and_crash_churn() {
     for &failed in &opened.lock().unwrap()[5..] {
         let c = w.core().connection(failed).expect("record kept");
         assert_eq!(
-            c.state,
+            c.state(),
             ConnState::Closed,
             "{failed} refused or unreachable"
         );
@@ -880,7 +902,10 @@ fn open_connection_index_tracks_connect_close_exit_and_crash_churn() {
     let (_, dark) = dial(&mut w, a, vec![(b, Port(9))]);
     w.run_for(SimDuration::from_millis(100));
     let dark = dark.lock().unwrap()[0];
-    assert_eq!(w.core().connection(dark).unwrap().state, ConnState::Closed);
+    assert_eq!(
+        w.core().connection(dark).unwrap().state(),
+        ConnState::Closed
+    );
     assert_eq!(assert_open_index_matches_table(&w), [0, 0, 0]);
     w.schedule_restart(b, SimDuration::from_millis(5));
     w.run_for(SimDuration::from_secs(2));

@@ -1,10 +1,12 @@
 //! End-to-end exercises of the tool layer against a live simulated PPM:
 //! the SnapshotTool's four control verbs, the computation locator under
-//! churn, and dashboard/IPC reports on real data.
+//! churn, dashboard/IPC reports on real data, and the open-files reply
+//! against the connections the world actually holds open.
 
+use ppm_core::client::ToolStep;
 use ppm_core::config::PpmConfig;
 use ppm_harness::harness::PpmHarness;
-use ppm_proto::msg::ControlAction;
+use ppm_proto::msg::{ControlAction, Op, Reply};
 use ppm_proto::types::WireProcState;
 use ppm_simnet::time::SimDuration;
 use ppm_simnet::topology::CpuClass;
@@ -64,6 +66,67 @@ fn snapshot_tool_verbs_drive_remote_processes() {
     drop(tool);
     ppm.run_for(SimDuration::from_millis(200));
     assert!(!state(&ppm).is_alive());
+}
+
+/// The LPM's open-files reply about itself lists only live streams:
+/// every `socket` entry names a connection of the LPM's that had not
+/// closed when the request went out — none of the tool connections that
+/// earlier round trips opened and closed — and the sibling stream to the
+/// other host's LPM is among them.
+#[test]
+fn open_files_lists_only_the_lpms_live_streams() {
+    let mut ppm = harness();
+    ppm.spawn_remote("a", USER, "b", "worker", None, None)
+        .unwrap();
+    let a = ppm.host("a").unwrap();
+    let lpm = ppm
+        .world()
+        .core()
+        .kernel(a)
+        .processes()
+        .find(|p| p.command.starts_with("lpm") && p.is_alive())
+        .map(|p| p.pid)
+        .expect("LPM running on a");
+    let files = |ppm: &mut PpmHarness| {
+        let step = ToolStep::new("a", Op::OpenFiles { pid: lpm.0 });
+        let outcome = ppm
+            .run_tool("a", USER, vec![step], SimDuration::from_secs(30))
+            .unwrap();
+        match outcome.reply(0) {
+            Some(Reply::Files { entries }) => entries.clone(),
+            other => panic!("unexpected {other:?}"),
+        }
+    };
+    for _ in 0..3 {
+        files(&mut ppm);
+        ppm.run_for(SimDuration::from_secs(1));
+    }
+    let asked_at = ppm.now();
+    let streams: Vec<String> = files(&mut ppm)
+        .into_iter()
+        .filter(|e| e.kind == "socket")
+        .map(|e| e.detail)
+        .collect();
+    let core = ppm.world().core();
+    let live: Vec<String> = core
+        .connections()
+        .filter(|c| c.has_endpoint((a, lpm)))
+        .filter(|c| c.stats.closed_at.is_none_or(|t| t >= asked_at))
+        .map(|c| format!("stream {}", c.id))
+        .collect();
+    for s in &streams {
+        assert!(
+            live.contains(s),
+            "{s} is listed but was closed: {streams:?}"
+        );
+    }
+    let sibling = core.connections().find(|c| {
+        c.has_endpoint((a, lpm))
+            && c.touches_host(ppm.host("b").unwrap())
+            && c.stats.closed_at.is_none()
+    });
+    let sibling = format!("stream {}", sibling.expect("sibling stream open").id);
+    assert!(streams.contains(&sibling), "{sibling} missing: {streams:?}");
 }
 
 #[test]

@@ -10,6 +10,16 @@
 //! for adopted processes, stop/continue holding a pending timer, the
 //! `SignalDelivered` report for every signal, and a panicking callback
 //! turning into the death of its process by SIGKILL.
+//!
+//! The socket layer is checked the same way: a send before the handshake
+//! completes is refused with `NotConnected`; a send is charged to the
+//! sender (`msgs_sent`) and reported to an IPC tracer (`MsgSent`); a
+//! listener holds a `Listener` descriptor; an endpoint holds a `Socket`
+//! descriptor after `connect` and after `Accepted`, and loses it after
+//! its own close, after a `Closed` event and after a refused connect; a
+//! second `listen` on a held port reads `PortInUse` until the holder
+//! exits; and a reply sent just before its sender exits arrives before
+//! the `Closed` notice (close-after-data on exit).
 
 use bytes::Bytes;
 
@@ -18,6 +28,7 @@ use ppm_core::users::UserDirectory;
 use ppm_mc::McWorld;
 use ppm_proto::kernel_wire::for_each_kernel_msg;
 use ppm_runtime::events::{KernelEvent, TraceFlags};
+use ppm_runtime::fd::FdKind;
 use ppm_runtime::ids::{ConnId, CpuClass, HostId, Pid, Port, Uid};
 use ppm_runtime::program::{ConnEvent, KernelMsg, Program, SigAction, SpawnSpec, SysError};
 use ppm_runtime::rt::Runtime;
@@ -29,6 +40,24 @@ const USER: Uid = Uid(100);
 const ECHO_PORT: Port = Port(40);
 const CLOSER_PORT: Port = Port(41);
 const DEAD_PORT: Port = Port(99);
+const SOCK_PORT: Port = Port(42);
+const REPLY_PORT: Port = Port(43);
+const HOLD_PORT: Port = Port(44);
+
+/// Whether the caller holds a descriptor of `kind`.
+fn holds(sys: &dyn Sys, kind: &FdKind) -> bool {
+    sys.open_fds(sys.pid())
+        .is_ok_and(|fds| fds.iter().any(|(_, k)| k == kind))
+}
+
+/// `"socket"` while the caller holds `conn`'s descriptor, else `"none"`.
+fn socket_fd(sys: &dyn Sys, conn: ConnId) -> &'static str {
+    if holds(sys, &FdKind::Socket { conn }) {
+        "socket"
+    } else {
+        "none"
+    }
+}
 
 /// Polls a stable-storage key while letting the backend run.
 fn wait_for<R: Runtime>(rt: &mut R, host: HostId, key: &str, budget_ms: u64) -> Option<Bytes> {
@@ -157,7 +186,8 @@ impl Program for DeadlineProg {
     }
 }
 
-/// Connects to a port nobody listens on and records the failure.
+/// Connects to a port nobody listens on and records the failure and
+/// whether a descriptor outlived it.
 struct RefusedClient {
     server: HostId,
 }
@@ -167,9 +197,11 @@ impl Program for RefusedClient {
         sys.connect(self.server, DEAD_PORT).expect("connect starts");
     }
 
-    fn on_conn_event(&mut self, sys: &mut dyn Sys, _conn: ConnId, event: ConnEvent) {
+    fn on_conn_event(&mut self, sys: &mut dyn Sys, conn: ConnId, event: ConnEvent) {
         if event == ConnEvent::Failed(SysError::ConnectionRefused) {
             sys.stable_put("conf.refused", Bytes::from_static(b"refused"));
+            let fd = socket_fd(sys, conn);
+            sys.stable_put("conf.fd.refused", fd);
         }
     }
 
@@ -215,6 +247,8 @@ impl Program for CloseWatcher {
             }
             ConnEvent::Closed => {
                 sys.stable_put("conf.closed", Bytes::from_static(b"closed"));
+                let fd = socket_fd(sys, conn);
+                sys.stable_put("conf.fd.closed", fd);
             }
             _ => {}
         }
@@ -222,6 +256,211 @@ impl Program for CloseWatcher {
 
     fn name(&self) -> &str {
         "close-watcher"
+    }
+}
+
+/// Listens, checks its `Listener` descriptor and that listening again on
+/// the same port is refused, and echoes like [`EchoServer`]; records
+/// whether an accepted endpoint holds a `Socket` descriptor.
+struct SockServer;
+
+impl Program for SockServer {
+    fn on_start(&mut self, sys: &mut dyn Sys) {
+        sys.listen(SOCK_PORT).expect("sock port free");
+        let listener = if holds(sys, &FdKind::Listener { port: SOCK_PORT }) {
+            "listener"
+        } else {
+            "none"
+        };
+        sys.stable_put("conf.fd.listen", listener);
+        let again = sys.listen(SOCK_PORT);
+        sys.stable_put("conf.relisten", format!("{again:?}"));
+    }
+
+    fn on_conn_event(&mut self, sys: &mut dyn Sys, conn: ConnId, event: ConnEvent) {
+        if let ConnEvent::Accepted { .. } = event {
+            let fd = socket_fd(sys, conn);
+            sys.stable_put("conf.fd.accept", fd);
+        }
+    }
+
+    fn on_message(&mut self, sys: &mut dyn Sys, conn: ConnId, data: Bytes) {
+        let _ = sys.send(conn, data);
+    }
+
+    fn name(&self) -> &str {
+        "sock-server"
+    }
+}
+
+/// Sends before its handshake completes, then once established; records
+/// the early send's result, its descriptor after `connect` and after its
+/// own close, and its `msgs_sent` after the one send that went out.
+struct EarlySender {
+    server: HostId,
+    closed: bool,
+}
+
+impl Program for EarlySender {
+    fn on_start(&mut self, sys: &mut dyn Sys) {
+        let conn = sys.connect(self.server, SOCK_PORT).expect("connect starts");
+        let early = sys.send(conn, Bytes::from_static(b"early"));
+        sys.stable_put("conf.early", format!("{early:?}"));
+        let fd = socket_fd(sys, conn);
+        sys.stable_put("conf.fd.connect", fd);
+    }
+
+    fn on_conn_event(&mut self, sys: &mut dyn Sys, conn: ConnId, event: ConnEvent) {
+        if event == ConnEvent::Established {
+            let _ = sys.send(conn, Bytes::from_static(b"hello"));
+            let sent = sys.rusage_of(sys.pid()).map_or(0, |r| r.msgs_sent);
+            sys.stable_put("conf.sent", format!("msgs_sent:{sent}"));
+        }
+    }
+
+    fn on_message(&mut self, sys: &mut dyn Sys, conn: ConnId, _data: Bytes) {
+        if !self.closed {
+            self.closed = true;
+            let _ = sys.close(conn);
+            let fd = socket_fd(sys, conn);
+            sys.stable_put("conf.fd.close", fd);
+        }
+    }
+
+    fn name(&self) -> &str {
+        "early-sender"
+    }
+}
+
+/// Spawns an [`EarlySender`], adopts it with IPC tracing, and records the
+/// first `MsgSent` its kernel socket reports about the child.
+struct IpcTracer {
+    server: HostId,
+    child: Option<Pid>,
+}
+
+impl Program for IpcTracer {
+    fn on_start(&mut self, sys: &mut dyn Sys) {
+        sys.register_kernel_socket();
+        let child = EarlySender {
+            server: self.server,
+            closed: false,
+        };
+        let pid = sys
+            .spawn(SpawnSpec::new("early-sender", Box::new(child)))
+            .expect("spawn child");
+        sys.adopt(pid, TraceFlags::PROC | TraceFlags::IPC)
+            .expect("adopt own child");
+        self.child = Some(pid);
+    }
+
+    fn on_kernel_batch(&mut self, sys: &mut dyn Sys, data: Bytes) {
+        let mut msgs = Vec::new();
+        for_each_kernel_msg(&data, |m| msgs.push(m));
+        for msg in msgs {
+            if let KernelEvent::MsgSent { pid, bytes } = msg.event {
+                if Some(pid) == self.child && sys.stable_get("conf.msgsent").is_none() {
+                    sys.stable_put("conf.msgsent", format!("bytes:{bytes}"));
+                }
+            }
+        }
+    }
+
+    fn name(&self) -> &str {
+        "ipc-tracer"
+    }
+}
+
+/// Answers the first message with a 2000-byte reply and exits in the
+/// same callback.
+struct ReplyExitServer;
+
+impl Program for ReplyExitServer {
+    fn on_start(&mut self, sys: &mut dyn Sys) {
+        sys.listen(REPLY_PORT).expect("reply port free");
+    }
+
+    fn on_message(&mut self, sys: &mut dyn Sys, conn: ConnId, _data: Bytes) {
+        let _ = sys.send(conn, vec![7u8; 2000]);
+        sys.exit(0);
+    }
+
+    fn name(&self) -> &str {
+        "reply-exit-server"
+    }
+}
+
+/// Asks the [`ReplyExitServer`] once and records what arrives, in order.
+struct ReplyWatcher {
+    server: HostId,
+    seen: Vec<String>,
+}
+
+impl Program for ReplyWatcher {
+    fn on_start(&mut self, sys: &mut dyn Sys) {
+        sys.connect(self.server, REPLY_PORT)
+            .expect("connect starts");
+    }
+
+    fn on_conn_event(&mut self, sys: &mut dyn Sys, conn: ConnId, event: ConnEvent) {
+        match event {
+            ConnEvent::Established => {
+                let _ = sys.send(conn, Bytes::from_static(b"q"));
+            }
+            ConnEvent::Closed => {
+                self.seen.push("closed".to_string());
+                sys.stable_put("conf.exit_order", self.seen.join(","));
+            }
+            _ => {}
+        }
+    }
+
+    fn on_message(&mut self, _sys: &mut dyn Sys, _conn: ConnId, data: Bytes) {
+        self.seen.push(format!("msg{}", data.len()));
+    }
+
+    fn name(&self) -> &str {
+        "reply-watcher"
+    }
+}
+
+/// Holds a listener on [`HOLD_PORT`] for 600 ms, then exits.
+struct PortHolder;
+
+impl Program for PortHolder {
+    fn on_start(&mut self, sys: &mut dyn Sys) {
+        sys.listen(HOLD_PORT).expect("hold port free");
+        sys.set_timer(SimDuration::from_millis(600), 0);
+    }
+
+    fn on_timer(&mut self, sys: &mut dyn Sys, _token: u64) {
+        sys.exit(0);
+    }
+
+    fn name(&self) -> &str {
+        "port-holder"
+    }
+}
+
+/// Tries to bind [`HOLD_PORT`] while the [`PortHolder`] has it, and again
+/// after it exited; records both results.
+struct PortTaker {
+    first: String,
+}
+
+impl Program for PortTaker {
+    fn on_start(&mut self, sys: &mut dyn Sys) {
+        self.first = format!("{:?}", sys.listen(HOLD_PORT));
+        sys.set_timer(SimDuration::from_millis(1200), 0);
+    }
+
+    fn on_timer(&mut self, sys: &mut dyn Sys, _token: u64) {
+        let second = sys.listen(HOLD_PORT);
+        sys.stable_put("conf.rebind", format!("{},{second:?}", self.first));
+    }
+
+    fn name(&self) -> &str {
+        "port-taker"
     }
 }
 
@@ -484,6 +723,14 @@ fn conformance_suite<R: Runtime>(rt: &mut R) {
         SpawnSpec::new("closer-server", Box::new(CloserServer)),
     )
     .expect("spawn closer server");
+    for (command, program) in [
+        ("sock-server", Box::new(SockServer) as Box<dyn Program>),
+        ("reply-exit-server", Box::new(ReplyExitServer)),
+        ("port-holder", Box::new(PortHolder)),
+    ] {
+        rt.spawn_user(beta, USER, SpawnSpec::new(command, program))
+            .expect("spawn server");
+    }
     rt.run(SimDuration::from_millis(120));
 
     rt.spawn_user(
@@ -579,6 +826,32 @@ fn conformance_suite<R: Runtime>(rt: &mut R) {
             SpawnSpec::new("panic-parent", Box::new(PanicParent)),
         )
         .expect("spawn panic parent");
+    let ipc_tracer = IpcTracer {
+        server: beta,
+        child: None,
+    };
+    let reply_watcher = ReplyWatcher {
+        server: beta,
+        seen: Vec::new(),
+    };
+    for (host, command, program) in [
+        (
+            alpha,
+            "ipc-tracer",
+            Box::new(ipc_tracer) as Box<dyn Program>,
+        ),
+        (alpha, "reply-watcher", Box::new(reply_watcher)),
+        (
+            beta,
+            "port-taker",
+            Box::new(PortTaker {
+                first: String::new(),
+            }),
+        ),
+    ] {
+        rt.spawn_user(host, USER, SpawnSpec::new(command, program))
+            .expect("spawn socket probe");
+    }
 
     let budget = 5_000;
     assert_eq!(
@@ -646,7 +919,94 @@ fn conformance_suite<R: Runtime>(rt: &mut R) {
         rt.is_alive(beta, panic_parent),
         "the panicking child's parent keeps running"
     );
+    socket_layer_checks(rt, alpha, beta, budget);
     assert!(rt.now() > Micros::ZERO, "the backend clock advanced");
+}
+
+/// The socket layer's rules, read back from what the probes recorded.
+fn socket_layer_checks<R: Runtime>(rt: &mut R, alpha: HostId, beta: HostId, budget: u64) {
+    let expect = [
+        (
+            alpha,
+            "conf.early",
+            "Err(NotConnected)",
+            "a send before Established is refused",
+        ),
+        (
+            alpha,
+            "conf.sent",
+            "msgs_sent:1",
+            "a send is charged to the sender",
+        ),
+        (
+            alpha,
+            "conf.msgsent",
+            "bytes:5",
+            "an IPC tracer hears MsgSent",
+        ),
+        (
+            beta,
+            "conf.fd.listen",
+            "listener",
+            "listen allocates a Listener descriptor",
+        ),
+        (
+            beta,
+            "conf.relisten",
+            "Err(PortInUse)",
+            "listening again on a held port is refused",
+        ),
+        (
+            alpha,
+            "conf.fd.connect",
+            "socket",
+            "connect allocates a Socket descriptor",
+        ),
+        (
+            beta,
+            "conf.fd.accept",
+            "socket",
+            "an accepted endpoint holds a Socket descriptor",
+        ),
+        (
+            alpha,
+            "conf.fd.close",
+            "none",
+            "our own close releases the descriptor",
+        ),
+        (
+            alpha,
+            "conf.fd.closed",
+            "none",
+            "a Closed event releases the descriptor",
+        ),
+        (
+            alpha,
+            "conf.fd.refused",
+            "none",
+            "a refused connect leaves no descriptor",
+        ),
+        (
+            beta,
+            "conf.rebind",
+            "Err(PortInUse),Ok(())",
+            "a held port binds again once its holder exits",
+        ),
+        (
+            alpha,
+            "conf.exit_order",
+            "msg2000,closed",
+            "a reply sent before exit arrives before the Closed notice",
+        ),
+    ];
+    for (host, key, want, what) in expect {
+        let got = wait_for(rt, host, key, budget);
+        assert_eq!(
+            got.as_deref().map(String::from_utf8_lossy).as_deref(),
+            Some(want),
+            "{what} ({key})"
+        );
+    }
 }
 
 #[test]

@@ -11,11 +11,15 @@
 //! (`ppm_runtime::host`); they hold the simulator's process semantics,
 //! deep relays and routed pricing in place alongside the flat pins.
 //!
-//! The last two — `chaos.ppm` under `crash_heal.fault` on `fat-tree`,
-//! and the 256-host chain — were captured just before the simulator
-//! indexed open connections per host and cached hop distances. They run
-//! host crashes, restarts, link cuts and deep relays through both
-//! indices.
+//! Two more — `chaos.ppm` under `crash_heal.fault` on `fat-tree`, and
+//! the 256-host chain — were captured just before the simulator indexed
+//! open connections per host and cached hop distances. They run host
+//! crashes, restarts, link cuts and deep relays through both indices.
+//!
+//! The last two — `chaos.ppm` under `crash_heal.fault` on `last-mile`
+//! (lossy-link drops and crash teardown) and `chaos_dual.ppm` under
+//! `crash_heal.fault` on `fat-tree` — were captured just before the
+//! socket rules of the three backends moved into the shared host core.
 //!
 //! The routed half of the suite pins determinism, not bytes: the same
 //! topology run twice must agree with itself, and full-mesh must
@@ -89,29 +93,50 @@ fn chain_64_digest_matches_the_pre_host_core_tree() {
     assert_eq!(got, "defb42b1e399d76f", "chain-64: digest drifted");
 }
 
-#[test]
-fn fat_tree_congestion_digest_matches_the_pre_host_core_tree() {
-    let text = scenario_file("congestion.ppm");
+/// The digest of a shipped scenario under a topology preset built over
+/// its hosts, optionally with a shipped fault plan.
+fn preset_digest(file: &str, preset: &str, faults: Option<&str>) -> String {
+    let text = scenario_file(file);
     let sc = scenario::parse(&text).expect("parses");
     let hosts: Vec<String> = sc.hosts.iter().map(|(n, _)| n.clone()).collect();
-    let spec = NetSpec::preset("fat-tree", &hosts).expect("preset builds");
-    let got = run_digest(&text, None, Some(&spec));
+    let spec = NetSpec::preset(preset, &hosts).expect("preset builds");
+    let plan = faults.map(scenario_file);
+    run_digest(&text, plan.as_deref(), Some(&spec))
+}
+
+#[test]
+fn fat_tree_congestion_digest_matches_the_pre_host_core_tree() {
     assert_eq!(
-        got, "a523d084444969df",
+        preset_digest("congestion.ppm", "fat-tree", None),
+        "a523d084444969df",
         "congestion.ppm on fat-tree: digest drifted"
     );
 }
 
 #[test]
 fn fat_tree_crash_heal_digest_matches_the_pre_index_tree() {
-    let text = scenario_file("chaos.ppm");
-    let sc = scenario::parse(&text).expect("parses");
-    let hosts: Vec<String> = sc.hosts.iter().map(|(n, _)| n.clone()).collect();
-    let spec = NetSpec::preset("fat-tree", &hosts).expect("preset builds");
-    let got = run_digest(&text, Some(&scenario_file("crash_heal.fault")), Some(&spec));
     assert_eq!(
-        got, "8f3041ef07b0966e",
+        preset_digest("chaos.ppm", "fat-tree", Some("crash_heal.fault")),
+        "8f3041ef07b0966e",
         "chaos.ppm + crash_heal.fault on fat-tree: digest drifted"
+    );
+}
+
+#[test]
+fn last_mile_crash_heal_digest_matches_the_pre_socket_layer_tree() {
+    assert_eq!(
+        preset_digest("chaos.ppm", "last-mile", Some("crash_heal.fault")),
+        "505a580539d40086",
+        "chaos.ppm + crash_heal.fault on last-mile: digest drifted"
+    );
+}
+
+#[test]
+fn fat_tree_dual_crash_heal_digest_matches_the_pre_socket_layer_tree() {
+    assert_eq!(
+        preset_digest("chaos_dual.ppm", "fat-tree", Some("crash_heal.fault")),
+        "bfad17361b6cda96",
+        "chaos_dual.ppm + crash_heal.fault on fat-tree: digest drifted"
     );
 }
 
